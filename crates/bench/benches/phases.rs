@@ -3,9 +3,10 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use neat_bench::setup::{dataset, experiment_config, network};
-use neat_core::phase1::{form_base_clusters, form_base_clusters_parallel};
+use neat_core::phase1::{form_base_clusters, form_base_clusters_parallel_with_policy};
 use neat_core::phase2::form_flow_clusters;
 use neat_core::phase3::refine_flow_clusters;
+use neat_core::ErrorPolicy;
 use neat_rnet::netgen::MapPreset;
 
 fn bench_phases(c: &mut Criterion) {
@@ -22,7 +23,10 @@ fn bench_phases(c: &mut Criterion) {
         b.iter(|| form_base_clusters(&net, &data, true).expect("phase1"))
     });
     group.bench_function("phase1_parallel4_atl100", |b| {
-        b.iter(|| form_base_clusters_parallel(&net, &data, true, 4).expect("phase1"))
+        b.iter(|| {
+            form_base_clusters_parallel_with_policy(&net, &data, true, 4, ErrorPolicy::Strict)
+                .expect("phase1")
+        })
     });
     group.bench_function("phase2_flow_clusters_atl100", |b| {
         b.iter_batched(

@@ -44,20 +44,40 @@ use std::sync::{Barrier, Mutex};
 /// that stopped it, if any.
 ///
 /// `halted == Some(why)` means items `0..items.len()` completed and the
-/// item at index `items.len()` observed `why`; the remainder never ran
-/// (or ran speculatively and was discarded).
+/// item at index `items.len()` observed `why`; `partial` is whatever
+/// that item kept of its own work before it stopped. The remainder
+/// never ran (or ran speculatively and was discarded).
 #[derive(Debug)]
 pub struct TryMap<T> {
     /// Results of the completed prefix, in item order.
     pub items: Vec<T>,
     /// The interrupt that stopped the map early, if any.
     pub halted: Option<Interrupt>,
+    /// The completed part of the halting item, if it kept one.
+    pub partial: Option<T>,
+}
+
+/// How an item reports an interrupt: the interrupt plus, for items that
+/// are themselves a run of smaller steps, the part that completed
+/// before it fired. `?` on a bare [`Interrupt`] keeps nothing.
+#[derive(Debug)]
+pub struct Halt<T> {
+    /// The completed part of the item, if it is worth keeping.
+    pub partial: Option<T>,
+    /// The interrupt the item observed.
+    pub why: Interrupt,
+}
+
+impl<T> From<Interrupt> for Halt<T> {
+    fn from(why: Interrupt) -> Self {
+        Halt { partial: None, why }
+    }
 }
 
 /// One speculative record: the item's outcome plus the check-point
 /// activity its recorder control observed.
 struct Rec<T> {
-    out: Result<T, Interrupt>,
+    out: Result<T, Halt<T>>,
     ops: u64,
     settled: u64,
 }
@@ -103,7 +123,8 @@ impl Executor {
 
     /// Maps `f` over `0..n` under `ctl`, stopping at the first item
     /// that observes an interrupt — bit-identical to the sequential
-    /// loop for any thread count, including the interrupt's op index.
+    /// loop for any thread count, including the interrupt's op index
+    /// and the halting item's [`Halt::partial`].
     ///
     /// `make_ctx` builds one private mutable context per worker (plus
     /// one for live replays on the fold thread): scratch state such as a
@@ -121,7 +142,7 @@ impl Executor {
     where
         C: Send,
         T: Send,
-        F: Fn(usize, &mut C, &Control) -> Result<T, Interrupt> + Sync,
+        F: Fn(usize, &mut C, &Control) -> Result<T, Halt<T>> + Sync,
     {
         if !self.is_parallel_for(n) {
             let mut ctx = make_ctx();
@@ -142,6 +163,7 @@ impl Executor {
 
         let mut items = Vec::with_capacity(n);
         let mut halted = None;
+        let mut partial = None;
 
         let scope_result = crossbeam::thread::scope(|s| {
             for (w, mut ctx) in worker_ctxs.into_iter().enumerate() {
@@ -213,8 +235,9 @@ impl Executor {
                     if !committed {
                         match f(i, &mut replay_ctx, ctl) {
                             Ok(v) => items.push(v),
-                            Err(why) => {
-                                halted = Some(why);
+                            Err(halt) => {
+                                halted = Some(halt.why);
+                                partial = halt.partial;
                                 break;
                             }
                         }
@@ -227,7 +250,11 @@ impl Executor {
         });
         // lint:allow(L1) reason=scope only fails when a worker panicked, which the panic-free library contract already forbids
         scope_result.expect("executor worker panicked");
-        TryMap { items, halted }
+        TryMap {
+            items,
+            halted,
+            partial,
+        }
     }
 
     /// Maps `f` over `0..n` with no control: every item runs, results
@@ -295,67 +322,6 @@ impl Executor {
     {
         self.map_ctx(n, || (), |i, ()| f(i))
     }
-
-    /// Maps `f` over contiguous chunk ranges of `0..n` with no control:
-    /// workers claim whole chunks and produce **one result per chunk**,
-    /// returned in chunk order.
-    ///
-    /// Chunk boundaries are fixed by the executor's chunk size alone
-    /// (`[0, chunk)`, `[chunk, 2*chunk)`, …) — independent of the thread
-    /// count — so a fold over the returned results visits per-item state
-    /// in exactly index order at any parallelism. This is the batching
-    /// primitive for phases that want one shared output buffer per chunk
-    /// instead of one allocation per item.
-    pub fn map_chunks<C, T, F>(&self, n: usize, mut make_ctx: impl FnMut() -> C, f: F) -> Vec<T>
-    where
-        C: Send,
-        T: Send,
-        F: Fn(std::ops::Range<usize>, &mut C) -> T + Sync,
-    {
-        let chunk = self.chunk;
-        let n_chunks = n.div_ceil(chunk);
-        let range_of = |c: usize| c * chunk..((c + 1) * chunk).min(n);
-        if !self.is_parallel_for(n) {
-            let mut ctx = make_ctx();
-            return (0..n_chunks).map(|c| f(range_of(c), &mut ctx)).collect();
-        }
-        let threads = self.threads;
-        let worker_ctxs: Vec<C> = (0..threads).map(|_| make_ctx()).collect();
-        let counter = AtomicUsize::new(0);
-        let mut out: Vec<Option<T>> = (0..n_chunks).map(|_| None).collect();
-
-        let gathered = crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = worker_ctxs
-                .into_iter()
-                .map(|mut ctx| {
-                    let (counter, f, range_of) = (&counter, &f, &range_of);
-                    s.spawn(move |_| {
-                        let mut local = Vec::new();
-                        loop {
-                            let c = counter.fetch_add(1, Ordering::SeqCst);
-                            if c >= n_chunks {
-                                break;
-                            }
-                            local.push((c, f(range_of(c), &mut ctx)));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| {
-                    // lint:allow(L1) reason=join only fails when the worker panicked, which the panic-free library contract already forbids
-                    h.join().expect("executor worker panicked")
-                })
-                .collect::<Vec<_>>()
-        });
-        // lint:allow(L1) reason=scope only fails when a worker panicked, which the panic-free library contract already forbids
-        for (c, v) in gathered.expect("executor worker panicked") {
-            out[c] = Some(v);
-        }
-        out.into_iter().flatten().collect()
-    }
 }
 
 /// The sequential reference loop the parallel path must reproduce.
@@ -363,16 +329,17 @@ fn run_sequential<C, T>(
     n: usize,
     ctl: &Control,
     ctx: &mut C,
-    f: &(impl Fn(usize, &mut C, &Control) -> Result<T, Interrupt> + ?Sized),
+    f: &(impl Fn(usize, &mut C, &Control) -> Result<T, Halt<T>> + ?Sized),
 ) -> TryMap<T> {
     let mut items = Vec::with_capacity(n);
     for i in 0..n {
         match f(i, ctx, ctl) {
             Ok(v) => items.push(v),
-            Err(why) => {
+            Err(halt) => {
                 return TryMap {
                     items,
-                    halted: Some(why),
+                    halted: Some(halt.why),
+                    partial: halt.partial,
                 };
             }
         }
@@ -380,6 +347,7 @@ fn run_sequential<C, T>(
     TryMap {
         items,
         halted: None,
+        partial: None,
     }
 }
 
@@ -389,11 +357,12 @@ mod tests {
     use neat_runctl::{CancelToken, RunBudget};
 
     /// Runs the same item function under every thread count and asserts
-    /// identical prefixes, halt causes and final control counters.
+    /// identical prefixes, halt causes, kept partials and final control
+    /// counters.
     fn assert_matches_sequential<T: PartialEq + std::fmt::Debug + Send>(
         n: usize,
         budget: impl Fn() -> (RunBudget, CancelToken),
-        f: impl Fn(usize, &mut u64, &Control) -> Result<T, Interrupt> + Sync,
+        f: impl Fn(usize, &mut u64, &Control) -> Result<T, Halt<T>> + Sync,
     ) {
         let (b, t) = budget();
         let seq_ctl = Control::new(b, t);
@@ -409,6 +378,7 @@ mod tests {
                         .try_map_ctl(n, &ctl, || 0u64, &f);
                 assert_eq!(par.items, seq.items, "threads={threads} chunk={chunk}");
                 assert_eq!(par.halted, seq.halted, "threads={threads} chunk={chunk}");
+                assert_eq!(par.partial, seq.partial, "threads={threads} chunk={chunk}");
                 assert_eq!(ctl.ops(), seq_ctl.ops(), "threads={threads} chunk={chunk}");
                 assert_eq!(
                     ctl.settled(),
@@ -425,12 +395,26 @@ mod tests {
     }
 
     /// One check per item plus `i % 3` settlements: variable cost.
-    fn item(i: usize, _ctx: &mut u64, c: &Control) -> Result<u64, Interrupt> {
+    fn item(i: usize, _ctx: &mut u64, c: &Control) -> Result<u64, Halt<u64>> {
         c.check()?;
         for _ in 0..i % 3 {
             c.check_settled()?;
         }
         Ok((i as u64) * 10)
+    }
+
+    /// An item made of `1 + i % 4` steps, one check each, that keeps the
+    /// steps it finished when a check fires mid-item.
+    fn stepped(i: usize, _ctx: &mut u64, c: &Control) -> Result<usize, Halt<usize>> {
+        for step in 0..=i % 4 {
+            if let Err(why) = c.check() {
+                return Err(Halt {
+                    partial: Some(step),
+                    why,
+                });
+            }
+        }
+        Ok(1 + i % 4)
     }
 
     #[test]
@@ -471,6 +455,29 @@ mod tests {
     }
 
     #[test]
+    fn halting_item_keeps_its_completed_part() {
+        for max_ops in [0u64, 1, 3, 4, 9, 40, 151] {
+            assert_matches_sequential(
+                100,
+                || {
+                    (
+                        RunBudget::unlimited().with_max_ops(max_ops),
+                        CancelToken::new(),
+                    )
+                },
+                stepped,
+            );
+        }
+        // Items 0..=2 take 1 + 2 + 3 checks; the fourth item's first two
+        // steps fit the remaining budget of 8 - 6 ops.
+        let ctl = Control::new(RunBudget::unlimited().with_max_ops(8), CancelToken::new());
+        let r = Executor::new(1).try_map_ctl(10, &ctl, || 0u64, stepped);
+        assert_eq!(r.items, vec![1, 2, 3]);
+        assert_eq!(r.halted, Some(Interrupt::OpBudgetExhausted));
+        assert_eq!(r.partial, Some(2));
+    }
+
+    #[test]
     fn fused_cancellation_trips_at_identical_poll() {
         for polls in [0u64, 1, 2, 17, 64, 150] {
             assert_matches_sequential(
@@ -506,7 +513,7 @@ mod tests {
     #[test]
     fn zero_items_and_tiny_inputs_take_the_sequential_path() {
         let ctl = Control::unlimited();
-        let r = Executor::new(8).try_map_ctl(0, &ctl, || (), |_, (), _| Ok::<u8, _>(1));
+        let r = Executor::new(8).try_map_ctl(0, &ctl, || (), |_, (), _| Ok::<u8, Halt<u8>>(1));
         assert!(r.items.is_empty() && r.halted.is_none());
         let r = Executor::new(8).try_map_ctl(
             3,
@@ -525,31 +532,6 @@ mod tests {
         let exec = Executor::new(4).with_chunk(3);
         let out = exec.map(1_000, |i| i * i);
         assert_eq!(out, (0..1_000).map(|i| i * i).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn map_chunks_covers_every_index_in_chunk_order() {
-        for threads in [1usize, 2, 4, 8] {
-            for chunk in [1usize, 3, 7, 32] {
-                let exec = Executor::new(threads).with_chunk(chunk);
-                let ranges = exec.map_chunks(100, || (), |r, ()| r);
-                let flat: Vec<usize> = ranges.into_iter().flatten().collect();
-                assert_eq!(
-                    flat,
-                    (0..100).collect::<Vec<_>>(),
-                    "threads={threads} chunk={chunk}"
-                );
-            }
-        }
-        // Boundaries are a function of the chunk size only.
-        let a = Executor::new(2)
-            .with_chunk(7)
-            .map_chunks(50, || (), |r, ()| r);
-        let b = Executor::new(8)
-            .with_chunk(7)
-            .map_chunks(50, || (), |r, ()| r);
-        assert_eq!(a, b);
-        assert!(Executor::new(4).map_chunks(0, || (), |r, ()| r).is_empty());
     }
 
     #[test]

@@ -14,7 +14,7 @@ use neat_traj::{Dataset, Trajectory, TrajectoryId};
 /// Every field is a pure function of the input traces, the network and
 /// the [`MatchConfig`] — independent of allocator state, thread count or
 /// wall clock — which makes them usable as a CI regression gate (see the
-/// `pr6_frontend` bench).
+/// `layers` benchmark's smoke test).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MatchStats {
     /// Samples matched across all traces.

@@ -16,8 +16,8 @@ use crate::config::NeatConfig;
 use crate::control::{Completeness, Degradation, DegradationStep, PhaseStatus};
 use crate::error::NeatError;
 use crate::model::{FlowCluster, TrajectoryCluster};
-use crate::phase1::{form_base_clusters_ctl, form_base_clusters_with_policy, ResilienceCounters};
-use crate::phase2::{form_flow_clusters, form_flow_clusters_ctl};
+use crate::phase1::{form_base_clusters_ctl, ResilienceCounters};
+use crate::phase2::form_flow_clusters_inner;
 use crate::phase3::{refine_flow_clusters, refine_flow_clusters_ctl, Phase3Stats};
 use crate::pipeline::Mode;
 use crate::retention::{self, ExpiryOutcome};
@@ -142,7 +142,9 @@ impl<'a> IncrementalNeat<'a> {
         &self.flows
     }
 
-    /// Phase-3 instrumentation of the most recent [`IncrementalNeat::ingest`].
+    /// Phase-3 instrumentation of the most recent refinement that
+    /// changed the retained state: an ingest, or an
+    /// [`IncrementalNeat::expire_before`] that advanced the watermark.
     pub fn last_refinement_stats(&self) -> Phase3Stats {
         self.last_stats
     }
@@ -174,16 +176,8 @@ impl<'a> IncrementalNeat<'a> {
         batch: &Dataset,
         policy: ErrorPolicy,
     ) -> Result<Vec<TrajectoryCluster>, NeatError> {
-        self.config.validate()?;
-        let (p1, counters) =
-            form_base_clusters_with_policy(self.net, batch, self.config.insert_junctions, policy)?;
-        let p2 = form_flow_clusters(self.net, p1.base_clusters, &self.config)?;
-        self.flows.extend(self.admit_flows(p2.flow_clusters));
-        self.batches += 1;
-        self.resilience.merge(&counters);
-        let p3 = refine_flow_clusters(self.net, self.flows.clone(), &self.config)?;
-        self.last_stats = p3.stats;
-        Ok(p3.clusters)
+        self.ingest_inner(batch, policy, None)
+            .map(|outcome| outcome.clusters)
     }
 
     /// [`IncrementalNeat::ingest_with_policy`] under a [`Control`]:
@@ -209,15 +203,28 @@ impl<'a> IncrementalNeat<'a> {
         policy: ErrorPolicy,
         ctl: &Control,
     ) -> Result<IngestOutcome, NeatError> {
+        self.ingest_inner(batch, policy, Some(ctl))
+    }
+
+    /// The one ingest body, so a live apply and a journal replay run the
+    /// same code. Phase 1 always runs under a control (an unlimited one
+    /// on free runs); phases 2 and 3 get `ctl` as given.
+    fn ingest_inner(
+        &mut self,
+        batch: &Dataset,
+        policy: ErrorPolicy,
+        ctl: Option<&Control>,
+    ) -> Result<IngestOutcome, NeatError> {
         self.config.validate()?;
         // Phases 1–2 run on the batch alone, without touching `self`.
+        let free = Control::unlimited();
         let (p1, counters, s1) = form_base_clusters_ctl(
             self.net,
             batch,
             self.config.insert_junctions,
-            1, // sequential: deterministic cut points for replay
+            self.config.threads,
             policy,
-            ctl,
+            ctl.unwrap_or(&free),
         )?;
         if !s1.is_complete() {
             let why = s1.interrupt();
@@ -247,7 +254,8 @@ impl<'a> IncrementalNeat<'a> {
                 interrupt: why,
             });
         }
-        let (p2, s2) = form_flow_clusters_ctl(self.net, p1.base_clusters, &self.config, ctl)?;
+        let (p2, s2) =
+            form_flow_clusters_inner(self.net, p1.base_clusters, &self.config, &mut None, ctl)?;
         if !s2.is_complete() {
             let why = s2.interrupt();
             let mut steps = Vec::new();

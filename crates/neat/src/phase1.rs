@@ -17,7 +17,7 @@
 use crate::control::PhaseStatus;
 use crate::error::NeatError;
 use crate::model::BaseCluster;
-use neat_exec::Executor;
+use neat_exec::{Executor, Halt};
 use neat_rnet::path::TravelMode;
 use neat_rnet::{RoadLocation, RoadNetwork, SegmentId, ShortestPathEngine};
 use neat_runctl::{Control, Interrupt};
@@ -35,8 +35,8 @@ pub struct Phase1Output {
     pub fragment_count: usize,
     /// Samples of the trajectories this output covers — a deterministic
     /// work counter: a pure function of the dataset and the interrupt cut
-    /// point, identical at every thread count (see the `pr6_frontend`
-    /// bench gate).
+    /// point, identical at every thread count (pinned by the `layers`
+    /// benchmark's smoke test).
     pub samples_scanned: usize,
 }
 
@@ -72,88 +72,6 @@ impl ResilienceCounters {
         self.skipped += other.skipped;
         self.repaired += other.repaired;
         self.skipped_ids.extend(other.skipped_ids.iter().copied());
-    }
-}
-
-/// Outcome of extracting one trajectory under a policy. `Failed` only
-/// occurs under [`ErrorPolicy::Strict`]; `Interrupted` only with a
-/// [`Control`] attached.
-enum TrajOutcome {
-    Ok(Vec<TFragment>),
-    Repaired(Vec<TFragment>),
-    Skipped(TrajectoryId),
-    Failed(NeatError),
-    Interrupted(Interrupt),
-}
-
-/// Extracts one trajectory's fragments and validates every fragment's
-/// segment against the network.
-fn try_extract(
-    net: &RoadNetwork,
-    engine: &mut ShortestPathEngine,
-    tr: &Trajectory,
-    insert_junctions: bool,
-    ctl: Option<&Control>,
-) -> Result<Vec<TFragment>, NeatError> {
-    let frags = if insert_junctions {
-        extract_fragments_ctl(net, engine, tr, ctl)?
-    } else {
-        neat_traj::fragment::split_into_fragments(tr)
-    };
-    for f in &frags {
-        if net.segment(f.segment).is_err() {
-            return Err(NeatError::UnknownSegment(f.segment));
-        }
-    }
-    Ok(frags)
-}
-
-fn extract_with_policy(
-    net: &RoadNetwork,
-    engine: &mut ShortestPathEngine,
-    tr: &Trajectory,
-    insert_junctions: bool,
-    policy: ErrorPolicy,
-    ctl: Option<&Control>,
-) -> TrajOutcome {
-    // One cancel point per trajectory, plus the per-settled-node points
-    // inside the gap-repair shortest paths.
-    if let Some(c) = ctl {
-        if let Err(why) = c.check() {
-            return TrajOutcome::Interrupted(why);
-        }
-    }
-    match try_extract(net, engine, tr, insert_junctions, ctl) {
-        Ok(frags) => TrajOutcome::Ok(frags),
-        // Interrupts must bypass the error policy: they are verdicts on
-        // the *run*, not on this trajectory's data.
-        Err(NeatError::Interrupted(why)) => TrajOutcome::Interrupted(why),
-        Err(e) => match policy {
-            ErrorPolicy::Strict => TrajOutcome::Failed(e),
-            ErrorPolicy::Skip => TrajOutcome::Skipped(tr.id()),
-            ErrorPolicy::Repair => {
-                // Drop the points the network cannot place; if enough
-                // remain to form a trajectory, extract from the rest.
-                let kept: Vec<RoadLocation> = tr
-                    .points()
-                    .iter()
-                    .filter(|p| net.segment(p.segment).is_ok())
-                    .copied()
-                    .collect();
-                if kept.len() >= 2 {
-                    if let Ok(repaired) = Trajectory::new(tr.id(), kept) {
-                        match try_extract(net, engine, &repaired, insert_junctions, ctl) {
-                            Ok(frags) => return TrajOutcome::Repaired(frags),
-                            Err(NeatError::Interrupted(why)) => {
-                                return TrajOutcome::Interrupted(why)
-                            }
-                            Err(_) => {}
-                        }
-                    }
-                }
-                TrajOutcome::Skipped(tr.id())
-            }
-        },
     }
 }
 
@@ -257,105 +175,11 @@ pub fn form_base_clusters_with_policy(
     insert_junctions: bool,
     policy: ErrorPolicy,
 ) -> Result<(Phase1Output, ResilienceCounters), NeatError> {
-    form_base_clusters_arena(net, dataset, insert_junctions, 1, policy)
+    form_base_clusters_parallel_with_policy(net, dataset, insert_junctions, 1, policy)
 }
 
-/// Segment keys mirroring `frags[i].segment.index()` — the compact scan
-/// input for the grouping counting sort.
-fn segment_keys(frags: &[TFragment]) -> Vec<u32> {
-    frags
-        .iter()
-        .map(|f| f.segment.index() as u32) // lint:allow(L4) reason=SegmentId is u32-backed, so index() round-trips losslessly
-        .collect()
-}
-
-/// Sequential extraction under a [`Control`]: stops at the first
-/// interrupted trajectory and reports how far it got. This is the legacy
-/// per-trajectory path, kept for controlled runs (the arena fast path
-/// has no cancel points).
-fn form_base_clusters_seq_ctl(
-    net: &RoadNetwork,
-    dataset: &Dataset,
-    insert_junctions: bool,
-    policy: ErrorPolicy,
-    ctl: &Control,
-) -> Result<(Phase1Output, ResilienceCounters, PhaseStatus), NeatError> {
-    let mut engine = ShortestPathEngine::new(net);
-    let total = dataset.len();
-    let mut counters = ResilienceCounters::default();
-    let mut all_frags: Vec<TFragment> = Vec::new();
-    let mut done = 0usize;
-    let mut samples_scanned = 0usize;
-    let mut status = PhaseStatus::Complete;
-    for tr in dataset.trajectories() {
-        match extract_with_policy(net, &mut engine, tr, insert_junctions, policy, Some(ctl)) {
-            TrajOutcome::Ok(frags) => {
-                all_frags.extend(frags);
-                done += 1;
-                samples_scanned += tr.len();
-            }
-            TrajOutcome::Repaired(frags) => {
-                counters.repaired += 1;
-                all_frags.extend(frags);
-                done += 1;
-                samples_scanned += tr.len();
-            }
-            TrajOutcome::Skipped(id) => {
-                counters.skipped += 1;
-                counters.skipped_ids.push(id);
-                done += 1;
-                samples_scanned += tr.len();
-            }
-            TrajOutcome::Failed(e) => return Err(e),
-            TrajOutcome::Interrupted(why) => {
-                // Fragments of the interrupted trajectory are discarded
-                // whole, so the delivered base clusters cover exactly the
-                // `done`-trajectory prefix of the dataset.
-                status = PhaseStatus::Partial { done, total, why };
-                break;
-            }
-        }
-    }
-    let keys = segment_keys(&all_frags);
-    Ok((
-        group_into_clusters(&[(all_frags, keys)], samples_scanned),
-        counters,
-        status,
-    ))
-}
-
-/// Parallel variant of [`form_base_clusters`]: trajectories are split
-/// into `threads` chunks extracted concurrently (each worker owns its own
-/// shortest-path engine), then grouped exactly as the sequential version.
-///
-/// The output is bit-identical to [`form_base_clusters`]: chunk results
-/// are concatenated in chunk order, so fragment order — and therefore
-/// base-cluster contents and density ordering — is unchanged.
-///
-/// # Errors
-///
-/// Same as [`form_base_clusters`]; with several failing trajectories the
-/// error of the earliest chunk wins.
-pub fn form_base_clusters_parallel(
-    net: &RoadNetwork,
-    dataset: &Dataset,
-    insert_junctions: bool,
-    threads: usize,
-) -> Result<Phase1Output, NeatError> {
-    form_base_clusters_parallel_with_policy(
-        net,
-        dataset,
-        insert_junctions,
-        threads,
-        ErrorPolicy::Strict,
-    )
-    .map(|(out, _)| out)
-}
-
-/// Policy-aware variant of [`form_base_clusters_parallel`]. Workers
-/// apply the policy per trajectory; outcomes are folded in dataset
-/// order, so the output (clusters *and* counters) is bit-identical to
-/// [`form_base_clusters_with_policy`] regardless of thread count.
+/// [`form_base_clusters_with_policy`] on `threads` workers. The output
+/// (clusters *and* counters) is bit-identical at every thread count.
 ///
 /// # Errors
 ///
@@ -369,18 +193,41 @@ pub fn form_base_clusters_parallel_with_policy(
     threads: usize,
     policy: ErrorPolicy,
 ) -> Result<(Phase1Output, ResilienceCounters), NeatError> {
-    form_base_clusters_arena(net, dataset, insert_junctions, threads, policy)
+    let free = Control::unlimited();
+    form_base_clusters_ctl(net, dataset, insert_junctions, threads, policy, &free)
+        .map(|(out, counters, _)| (out, counters))
 }
 
-/// Phase 1 under a [`Control`]: cooperative cancel points per trajectory
-/// and per settled node inside gap-repair shortest paths. On interrupt
-/// the clusters built from the completed trajectory prefix are returned
-/// with a [`PhaseStatus::Partial`] report instead of an error.
+/// Segment keys mirroring `frags[i].segment.index()` — the compact scan
+/// input for the grouping counting sort.
+fn segment_keys(frags: &[TFragment]) -> Vec<u32> {
+    frags
+        .iter()
+        .map(|f| f.segment.index() as u32) // lint:allow(L4) reason=SegmentId is u32-backed, so index() round-trips losslessly
+        .collect()
+}
+
+/// Trajectories per phase-1 work item. A constant, never derived from
+/// the thread count: chunk boundaries, and with them the fold order, are
+/// the same at every thread count, and a batch shorter than two chunks
+/// per worker (a streamed batch, a pushed trip) stays on the calling
+/// thread.
+const CHUNK: usize = 32;
+
+/// Phase 1 — the one implementation every entry point runs. The dataset
+/// is flattened into a [`SampleArena`] and extracted in [`CHUNK`]-sized
+/// runs of trajectories, each an item of
+/// [`neat_exec::Executor::try_map_ctl`]. A worker appends the fragments
+/// of its chunk into one contiguous buffer — no per-trajectory `Vec`s.
 ///
-/// The cut point is deterministic for a given budget/arming regardless
-/// of thread count: workers run speculatively against recorder controls
-/// and their op/settle charges are committed against the real budget in
-/// dataset order (see [`neat_exec::Executor::try_map_ctl`]).
+/// Check points: one op per trajectory, plus one per settled node of the
+/// gap-repair shortest paths that actually run (see DESIGN §11). On
+/// interrupt the clusters built from the completed trajectory prefix —
+/// including the completed part of the interrupted chunk — are returned
+/// with a [`PhaseStatus::Partial`] report instead of an error. The cut
+/// point is the same at every thread count: workers run speculatively
+/// against recorder controls and their charges are committed against
+/// the real budget in dataset order.
 ///
 /// # Errors
 ///
@@ -394,222 +241,24 @@ pub fn form_base_clusters_ctl(
     policy: ErrorPolicy,
     ctl: &Control,
 ) -> Result<(Phase1Output, ResilienceCounters, PhaseStatus), NeatError> {
-    let exec = Executor::new(threads);
-    let total = dataset.len();
-    if !exec.is_parallel_for(total) {
-        return form_base_clusters_seq_ctl(net, dataset, insert_junctions, policy, ctl);
-    }
-    let trajectories = dataset.trajectories();
-
-    // Each worker owns a private shortest-path engine; outcomes come back
-    // in dataset order, so folding below is identical to the sequential
-    // loop. Trajectories run speculatively against recorder controls and
-    // charge the real budget in dataset order — the interrupt cut point
-    // (and therefore the delivered prefix) is bit-identical to a
-    // single-threaded run.
-    let run = exec.try_map_ctl(
-        total,
+    let arena = SampleArena::from_dataset(dataset);
+    let total = arena.len();
+    let run = Executor::new(threads).try_map_ctl(
+        total.div_ceil(CHUNK),
         ctl,
         || ShortestPathEngine::new(net),
-        |i, engine, cc| match extract_with_policy(
-            net,
-            engine,
-            &trajectories[i],
-            insert_junctions,
-            policy,
-            Some(cc),
-        ) {
-            TrajOutcome::Interrupted(why) => Err(why),
-            other => Ok(other),
+        |c, engine, cc| {
+            let range = c * CHUNK..((c + 1) * CHUNK).min(total);
+            extract_chunk(net, engine, &arena, range, insert_junctions, policy, cc)
         },
     );
-    let (outcomes, halted) = (run.items, run.halted);
 
     let mut counters = ResilienceCounters::default();
-    let mut all_frags: Vec<TFragment> = Vec::new();
+    let mut samples_scanned = 0usize;
     let mut done = 0usize;
-    let mut samples_scanned = 0usize;
-    let mut status = PhaseStatus::Complete;
-    for (i, outcome) in outcomes.into_iter().enumerate() {
-        match outcome {
-            TrajOutcome::Ok(frags) => {
-                all_frags.extend(frags);
-                done += 1;
-                samples_scanned += trajectories[i].len();
-            }
-            TrajOutcome::Repaired(frags) => {
-                counters.repaired += 1;
-                all_frags.extend(frags);
-                done += 1;
-                samples_scanned += trajectories[i].len();
-            }
-            TrajOutcome::Skipped(id) => {
-                counters.skipped += 1;
-                counters.skipped_ids.push(id);
-                done += 1;
-                samples_scanned += trajectories[i].len();
-            }
-            TrajOutcome::Failed(e) => return Err(e),
-            // Interrupts surface through `halted`; a stray outcome here is
-            // folded conservatively as the end of the delivered prefix.
-            TrajOutcome::Interrupted(why) => {
-                status = PhaseStatus::Partial { done, total, why };
-                break;
-            }
-        }
-    }
-    if let (PhaseStatus::Complete, Some(why)) = (&status, halted) {
-        status = PhaseStatus::Partial { done, total, why };
-    }
-    let keys = segment_keys(&all_frags);
-    Ok((
-        group_into_clusters(&[(all_frags, keys)], samples_scanned),
-        counters,
-        status,
-    ))
-}
-
-/// Outcome of extracting one trajectory view on the arena fast path.
-/// Fragments go straight into the caller's shared buffer, so the
-/// outcome carries bookkeeping only.
-enum SlotOutcome {
-    Ok,
-    Repaired,
-    Skipped(TrajectoryId),
-    Failed(NeatError),
-}
-
-/// Appends one view's fragments to `out`, validating every sample's
-/// segment against the network up front. On error, `out` is left with
-/// partial fragments appended — the caller truncates back to its mark.
-///
-/// The flat pre-scan reports the same error as the legacy per-fragment
-/// post-validation: the first invalid sample's segment. (Fragments are
-/// emitted in sample order, so the first invalid fragment is the run of
-/// the first invalid sample; and when junction insertion trips first,
-/// `junction_chain` fails on the transition *into* that same sample.
-/// Pass-through fragments need no check — their segments come from the
-/// network's own router.)
-fn extract_view_into(
-    net: &RoadNetwork,
-    engine: &mut ShortestPathEngine,
-    view: &TrajView<'_>,
-    insert_junctions: bool,
-    out: &mut Vec<TFragment>,
-) -> Result<(), NeatError> {
-    let max = net.segment_count();
-    if let Some(&bad) = view.segs().iter().find(|&&s| s as usize >= max) {
-        // lint:allow(L4) reason=widening the u32 raw segment index back to usize is lossless
-        return Err(NeatError::UnknownSegment(SegmentId::new(bad as usize)));
-    }
-    if insert_junctions {
-        extract_fragments_view(net, engine, view, out)?;
-    } else {
-        view.split_into_fragments_into(out);
-    }
-    Ok(())
-}
-
-/// Arena-path twin of [`extract_with_policy`]: extracts one trajectory
-/// view under an error policy, appending fragments to the shared chunk
-/// buffer and rolling the buffer back on any error.
-fn extract_view_with_policy(
-    net: &RoadNetwork,
-    engine: &mut ShortestPathEngine,
-    view: &TrajView<'_>,
-    insert_junctions: bool,
-    policy: ErrorPolicy,
-    out: &mut Vec<TFragment>,
-) -> SlotOutcome {
-    let mark = out.len();
-    match extract_view_into(net, engine, view, insert_junctions, out) {
-        Ok(()) => SlotOutcome::Ok,
-        Err(e) => {
-            out.truncate(mark);
-            match policy {
-                ErrorPolicy::Strict => SlotOutcome::Failed(e),
-                ErrorPolicy::Skip => SlotOutcome::Skipped(view.id),
-                ErrorPolicy::Repair => {
-                    // Drop the points the network cannot place; if enough
-                    // remain to form a trajectory, extract from the rest.
-                    let kept: Vec<RoadLocation> = (0..view.len())
-                        .map(|j| view.location(j))
-                        .filter(|p| net.segment(p.segment).is_ok())
-                        .collect();
-                    if kept.len() >= 2 {
-                        if let Ok(repaired) = Trajectory::new(view.id, kept) {
-                            if let Ok(frags) =
-                                try_extract(net, engine, &repaired, insert_junctions, None)
-                            {
-                                out.extend(frags);
-                                return SlotOutcome::Repaired;
-                            }
-                        }
-                    }
-                    SlotOutcome::Skipped(view.id)
-                }
-            }
-        }
-    }
-}
-
-/// The arena fast path: the whole dataset is flattened into a
-/// [`SampleArena`] and scanned chunk by chunk via
-/// [`Executor::map_chunks`]. Each worker appends fragments for the
-/// trajectories of its chunk into one contiguous per-chunk buffer —
-/// no per-trajectory `Vec` allocations — and chunk boundaries depend
-/// only on the chunk size, so the folded fragment stream (and every
-/// downstream cluster) is bit-identical at any thread count.
-fn form_base_clusters_arena(
-    net: &RoadNetwork,
-    dataset: &Dataset,
-    insert_junctions: bool,
-    threads: usize,
-    policy: ErrorPolicy,
-) -> Result<(Phase1Output, ResilienceCounters), NeatError> {
-    let arena = SampleArena::from_dataset(dataset);
-    let exec = Executor::new(threads);
-    let n = arena.len();
-    let chunks = exec.map_chunks(
-        n,
-        || ShortestPathEngine::new(net),
-        |range, engine| {
-            // Pre-size from the chunk's sample count: fragments rarely
-            // exceed half the samples, so this usually avoids every
-            // growth-copy of the (large) fragment buffer.
-            let mut frags: Vec<TFragment> = Vec::with_capacity(arena.samples_in(range.clone()) / 2);
-            let mut meta: Vec<SlotOutcome> = Vec::with_capacity(range.len());
-            for i in range {
-                let view = arena.view(i);
-                let outcome = extract_view_with_policy(
-                    net,
-                    engine,
-                    &view,
-                    insert_junctions,
-                    policy,
-                    &mut frags,
-                );
-                let failed = matches!(outcome, SlotOutcome::Failed(_));
-                meta.push(outcome);
-                if failed {
-                    // Strict mode aborts the run; the fold below surfaces
-                    // the earliest failure in dataset order.
-                    break;
-                }
-            }
-            // Mirror the segment keys while the chunk is cache-hot: the
-            // grouping counting sort then scans compact u32 runs.
-            let keys = segment_keys(&frags);
-            (frags, keys, meta)
-        },
-    );
-
-    let mut counters = ResilienceCounters::default();
-    let mut samples_scanned = 0usize;
-    let mut frag_lists: Vec<(Vec<TFragment>, Vec<u32>)> = Vec::with_capacity(chunks.len());
-    let mut idx = 0usize;
-    for (frags, keys, meta) in chunks {
-        for outcome in meta {
+    let mut frag_lists: Vec<(Vec<TFragment>, Vec<u32>)> = Vec::with_capacity(run.items.len() + 1);
+    for chunk in run.items.into_iter().chain(run.partial) {
+        for outcome in chunk.outcomes {
             match outcome {
                 SlotOutcome::Ok => {}
                 SlotOutcome::Repaired => counters.repaired += 1,
@@ -619,120 +268,190 @@ fn form_base_clusters_arena(
                 }
                 SlotOutcome::Failed(e) => return Err(e),
             }
-            samples_scanned += arena.view(idx).len();
-            idx += 1;
+            samples_scanned += arena.view(done).len();
+            done += 1;
         }
-        frag_lists.push((frags, keys));
+        frag_lists.push((chunk.frags, chunk.keys));
     }
-    Ok((group_into_clusters(&frag_lists, samples_scanned), counters))
+    let status = match run.halted {
+        Some(why) => PhaseStatus::Partial { done, total, why },
+        None => PhaseStatus::Complete,
+    };
+    Ok((
+        group_into_clusters(&frag_lists, samples_scanned),
+        counters,
+        status,
+    ))
 }
 
-/// Extracts the t-fragments of one trajectory, inserting junction points at
-/// segment transitions.
+/// One chunk's extraction: its fragments, their segment keys (mirrored
+/// while the chunk is cache-hot, so the grouping counting sort scans
+/// compact `u32` runs) and one outcome per finished trajectory.
+struct Chunk {
+    frags: Vec<TFragment>,
+    keys: Vec<u32>,
+    outcomes: Vec<SlotOutcome>,
+}
+
+/// Outcome of extracting one trajectory. Fragments go straight into the
+/// chunk's shared buffer, so the outcome carries bookkeeping only.
+enum SlotOutcome {
+    Ok,
+    Repaired,
+    Skipped(TrajectoryId),
+    Failed(NeatError),
+}
+
+/// Extracts the trajectories `range` of `arena`. A strict-mode failure
+/// ends the chunk (the fold surfaces the earliest failure in dataset
+/// order); an interrupt halts it, keeping the trajectories finished
+/// before it.
+fn extract_chunk(
+    net: &RoadNetwork,
+    engine: &mut ShortestPathEngine,
+    arena: &SampleArena,
+    range: std::ops::Range<usize>,
+    insert_junctions: bool,
+    policy: ErrorPolicy,
+    ctl: &Control,
+) -> Result<Chunk, Halt<Chunk>> {
+    // Pre-size from the chunk's sample count: fragments rarely exceed
+    // half the samples, so this usually avoids every growth-copy of the
+    // (large) fragment buffer.
+    let mut chunk = Chunk {
+        frags: Vec::with_capacity(arena.samples_in(range.clone()) / 2),
+        keys: Vec::new(),
+        outcomes: Vec::with_capacity(range.len()),
+    };
+    let mut halted = None;
+    for i in range {
+        let view = arena.view(i);
+        match extract_view_with_policy(
+            net,
+            engine,
+            &view,
+            insert_junctions,
+            policy,
+            ctl,
+            &mut chunk.frags,
+        ) {
+            Ok(outcome) => {
+                let failed = matches!(outcome, SlotOutcome::Failed(_));
+                chunk.outcomes.push(outcome);
+                if failed {
+                    break;
+                }
+            }
+            Err(why) => {
+                halted = Some(why);
+                break;
+            }
+        }
+    }
+    chunk.keys = segment_keys(&chunk.frags);
+    match halted {
+        None => Ok(chunk),
+        Some(why) => Err(Halt {
+            partial: Some(chunk),
+            why,
+        }),
+    }
+}
+
+/// Extracts one trajectory view under an error policy, appending its
+/// fragments to the chunk buffer and rolling the buffer back on any
+/// error. Charges the trajectory's check point first.
 ///
 /// # Errors
 ///
-/// Returns [`NeatError::UnknownSegment`] for samples on unknown segments.
-pub fn extract_fragments_with_junctions(
+/// Returns the interrupt that stopped the trajectory; interrupts bypass
+/// the error policy — they are verdicts on the *run*, not on this
+/// trajectory's data.
+fn extract_view_with_policy(
     net: &RoadNetwork,
     engine: &mut ShortestPathEngine,
-    tr: &Trajectory,
-) -> Result<Vec<TFragment>, NeatError> {
-    extract_fragments_ctl(net, engine, tr, None)
-}
-
-/// [`extract_fragments_with_junctions`] under an optional [`Control`]:
-/// the gap-repair shortest paths become interruptible, surfacing
-/// [`NeatError::Interrupted`] for the caller to convert into an outcome.
-fn extract_fragments_ctl(
-    net: &RoadNetwork,
-    engine: &mut ShortestPathEngine,
-    tr: &Trajectory,
-    ctl: Option<&Control>,
-) -> Result<Vec<TFragment>, NeatError> {
-    let pts = tr.points();
-    let mut out: Vec<TFragment> = Vec::new();
-    // Current open fragment.
-    let mut cur_first: RoadLocation = pts[0];
-    let mut cur_last: RoadLocation = pts[0];
-    let mut cur_count: usize = 1;
-
-    let close = |out: &mut Vec<TFragment>, first: RoadLocation, last: RoadLocation, count| {
-        out.push(TFragment {
-            trajectory: tr.id(),
-            segment: first.segment,
-            first,
-            last,
-            point_count: count,
-        });
+    view: &TrajView<'_>,
+    insert_junctions: bool,
+    policy: ErrorPolicy,
+    ctl: &Control,
+    out: &mut Vec<TFragment>,
+) -> Result<SlotOutcome, Interrupt> {
+    ctl.check()?;
+    let mark = out.len();
+    let err = match extract_view_into(net, engine, view, insert_junctions, ctl, out) {
+        Ok(()) => return Ok(SlotOutcome::Ok),
+        Err(e) => e,
     };
-
-    for q in &pts[1..] {
-        let p = cur_last;
-        if q.segment == p.segment {
-            cur_last = *q;
-            cur_count += 1;
-            continue;
-        }
-        // Segment transition: recover the junction chain between p and q.
-        match junction_chain(net, engine, p, *q, ctl)? {
-            Some(Chain::Contiguous(jpos, jt)) => {
-                // Close the current fragment at the shared junction and
-                // reopen on q's segment from that same junction.
-                cur_last = RoadLocation::new(p.segment, jpos, jt);
-                cur_count += 1;
-                close(&mut out, cur_first, cur_last, cur_count);
-                cur_first = RoadLocation::new(q.segment, jpos, jt);
-                cur_last = *q;
-                cur_count = 2;
-            }
-            Some(Chain::Repaired(junctions, mid_segments, times)) => {
-                // Close the current fragment at the first junction.
-                let j0 = RoadLocation::new(p.segment, junctions[0], times[0]);
-                cur_last = j0;
-                cur_count += 1;
-                close(&mut out, cur_first, cur_last, cur_count);
-                // Pass-through fragments for intermediate segments.
-                for (i, &mid) in mid_segments.iter().enumerate() {
-                    let a = RoadLocation::new(mid, junctions[i], times[i]);
-                    let b = RoadLocation::new(mid, junctions[i + 1], times[i + 1]);
-                    close(&mut out, a, b, 2);
+    out.truncate(mark);
+    match (err, policy) {
+        (NeatError::Interrupted(why), _) => Err(why),
+        (e, ErrorPolicy::Strict) => Ok(SlotOutcome::Failed(e)),
+        (_, ErrorPolicy::Skip) => Ok(SlotOutcome::Skipped(view.id)),
+        (_, ErrorPolicy::Repair) => {
+            // Drop the points the network cannot place; if enough remain
+            // to form a trajectory, extract from the rest.
+            let kept: Vec<RoadLocation> = (0..view.len())
+                .map(|j| view.location(j))
+                .filter(|p| net.segment(p.segment).is_ok())
+                .collect();
+            if kept.len() >= 2 {
+                if let Ok(repaired) = Trajectory::new(view.id, kept) {
+                    let one = SampleArena::from_trajectories(std::slice::from_ref(&repaired));
+                    match extract_view_into(net, engine, &one.view(0), insert_junctions, ctl, out) {
+                        Ok(()) => return Ok(SlotOutcome::Repaired),
+                        Err(NeatError::Interrupted(why)) => {
+                            out.truncate(mark);
+                            return Err(why);
+                        }
+                        Err(_) => out.truncate(mark),
+                    }
                 }
-                // Open the next fragment on q's segment at the last junction.
-                let jk = RoadLocation::new(
-                    q.segment,
-                    *junctions.last().expect("chain non-empty"), // lint:allow(L1) reason=the chain loop pushes at least one junction/time first
-                    *times.last().expect("chain non-empty"),
-                );
-                cur_first = jk;
-                cur_last = *q;
-                cur_count = 2;
             }
-            None => {
-                // Unreachable gap: split without junction insertion.
-                close(&mut out, cur_first, cur_last, cur_count);
-                cur_first = *q;
-                cur_last = *q;
-                cur_count = 1;
-            }
+            Ok(SlotOutcome::Skipped(view.id))
         }
     }
-    close(&mut out, cur_first, cur_last, cur_count);
-    Ok(out)
 }
 
-/// Arena twin of [`extract_fragments_ctl`] (always uncontrolled): scans
-/// the view's dense `&[u32]` segment run for boundaries and only
-/// reconstructs `RoadLocation`s at run edges. Produces the exact same
-/// fragment stream: sample coordinates round-trip bit-identically
-/// through the arena, junction chains are computed from the same `p`/`q`
-/// pairs in the same order, and the point-count arithmetic below mirrors
-/// the legacy `cur_count` bookkeeping
-/// (`(j - run_start) + open_extra [+ 1 at a junction close]`).
+/// Appends one view's fragments to `out`, validating every sample's
+/// segment against the network up front — so a trajectory the pre-scan
+/// rejects never routes. On error, `out` is left with partial fragments
+/// appended — the caller truncates back to its mark.
+///
+/// The pre-scan reports the first invalid sample's segment. (Fragments
+/// are emitted in sample order, so the first invalid fragment is the run
+/// of the first invalid sample. Pass-through fragments need no check —
+/// their segments come from the network's own router.)
+fn extract_view_into(
+    net: &RoadNetwork,
+    engine: &mut ShortestPathEngine,
+    view: &TrajView<'_>,
+    insert_junctions: bool,
+    ctl: &Control,
+    out: &mut Vec<TFragment>,
+) -> Result<(), NeatError> {
+    let max = net.segment_count();
+    if let Some(&bad) = view.segs().iter().find(|&&s| s as usize >= max) {
+        // lint:allow(L4) reason=widening the u32 raw segment index back to usize is lossless
+        return Err(NeatError::UnknownSegment(SegmentId::new(bad as usize)));
+    }
+    if insert_junctions {
+        extract_fragments_view(net, engine, view, ctl, out)?;
+    } else {
+        view.split_into_fragments_into(out);
+    }
+    Ok(())
+}
+
+/// Extracts the t-fragments of one trajectory view, inserting junction
+/// points at segment transitions. Scans the view's dense `&[u32]`
+/// segment run for boundaries and only reconstructs `RoadLocation`s at
+/// run edges; a fragment's point count is
+/// `(j - run_start) + open_extra [+ 1 at a junction close]`.
 fn extract_fragments_view(
     net: &RoadNetwork,
     engine: &mut ShortestPathEngine,
     view: &TrajView<'_>,
+    ctl: &Control,
     out: &mut Vec<TFragment>,
 ) -> Result<(), NeatError> {
     let segs = view.segs();
@@ -762,7 +481,7 @@ fn extract_fragments_view(
         }
         // Segment transition: recover the junction chain between p and q.
         let q = view.location(j);
-        match junction_chain(net, engine, p, q, None)? {
+        match junction_chain(net, engine, p, q, ctl)? {
             Some(Chain::Contiguous(jpos, jt)) => {
                 // Close the current fragment at the shared junction and
                 // reopen on q's segment from that same junction.
@@ -845,7 +564,7 @@ fn junction_chain(
     engine: &mut ShortestPathEngine,
     p: RoadLocation,
     q: RoadLocation,
-    ctl: Option<&Control>,
+    ctl: &Control,
 ) -> Result<Option<Chain>, NeatError> {
     let ep = net
         .segment(p.segment)
@@ -871,12 +590,9 @@ fn junction_chain(
         for v in [eq.a, eq.b] {
             let d_pu = p.position.distance(net.position(u));
             let d_vq = net.position(v).distance(q.position);
-            let found = match ctl {
-                Some(c) => engine
-                    .route_ctl(net, u, v, TravelMode::Directed, c)
-                    .map_err(NeatError::Interrupted)?,
-                None => engine.route(net, u, v, TravelMode::Directed),
-            };
+            let found = engine
+                .route_ctl(net, u, v, TravelMode::Directed, Some(ctl))
+                .map_err(NeatError::Interrupted)?;
             if let Some(route) = found {
                 let cost = d_pu + route.length + d_vq;
                 if best.as_ref().is_none_or(|(c, ..)| cost < *c) {
@@ -931,13 +647,28 @@ mod tests {
         chain_network(5, 100.0, 10.0)
     }
 
+    /// One trajectory's fragments, in emission order, with junctions.
+    fn extract(net: &RoadNetwork, tr: &Trajectory) -> Vec<TFragment> {
+        let arena = SampleArena::from_trajectories(std::slice::from_ref(tr));
+        let mut out = Vec::new();
+        let mut engine = ShortestPathEngine::new(net);
+        extract_fragments_view(
+            net,
+            &mut engine,
+            &arena.view(0),
+            &Control::unlimited(),
+            &mut out,
+        )
+        .unwrap();
+        out
+    }
+
     #[test]
     fn contiguous_transition_inserts_junction() {
         let net = net5();
-        let mut eng = ShortestPathEngine::new(&net);
         // Sample on s0 at x=50, then on s1 at x=150: junction n1 at x=100.
         let tr = traj(1, vec![loc(0, 50.0, 0.0), loc(1, 150.0, 10.0)]);
-        let frags = extract_fragments_with_junctions(&net, &mut eng, &tr).unwrap();
+        let frags = extract(&net, &tr);
         assert_eq!(frags.len(), 2);
         assert_eq!(frags[0].segment, SegmentId::new(0));
         // Fragment 0 ends at the junction (x=100), halfway in time.
@@ -952,10 +683,9 @@ mod tests {
     #[test]
     fn gap_repair_creates_passthrough_fragments() {
         let net = net5();
-        let mut eng = ShortestPathEngine::new(&net);
         // Sample on s0 then s3: s1 and s2 traversed between samples.
         let tr = traj(1, vec![loc(0, 50.0, 0.0), loc(3, 350.0, 30.0)]);
-        let frags = extract_fragments_with_junctions(&net, &mut eng, &tr).unwrap();
+        let frags = extract(&net, &tr);
         let segs: Vec<usize> = frags.iter().map(|f| f.segment.index()).collect();
         assert_eq!(segs, vec![0, 1, 2, 3]);
         // Pass-through fragments carry the inserted junction endpoints.
@@ -1033,7 +763,6 @@ mod tests {
         let s0 = b.add_segment(a0, a1, 10.0).unwrap();
         let s1 = b.add_segment(c0, c1, 10.0).unwrap();
         let net = b.build().unwrap();
-        let mut eng = ShortestPathEngine::new(&net);
         let tr = traj(
             1,
             vec![
@@ -1041,7 +770,7 @@ mod tests {
                 RoadLocation::new(s1, Point::new(50.0, 5000.0), 100.0),
             ],
         );
-        let frags = extract_fragments_with_junctions(&net, &mut eng, &tr).unwrap();
+        let frags = extract(&net, &tr);
         assert_eq!(frags.len(), 2);
         assert_eq!(frags[0].point_count, 1);
         assert_eq!(frags[1].point_count, 1);
@@ -1082,7 +811,14 @@ mod tests {
         }
         let seq = form_base_clusters(&net, &data, true).unwrap();
         for threads in [1usize, 2, 4, 8] {
-            let par = form_base_clusters_parallel(&net, &data, true, threads).unwrap();
+            let (par, _) = form_base_clusters_parallel_with_policy(
+                &net,
+                &data,
+                true,
+                threads,
+                ErrorPolicy::Strict,
+            )
+            .unwrap();
             assert_eq!(par, seq, "threads = {threads}");
         }
     }
@@ -1095,7 +831,9 @@ mod tests {
             data.push(traj(id, vec![loc(0, 10.0, 0.0), loc(0, 20.0, 5.0)]));
         }
         data.push(traj(99, vec![loc(77, 0.0, 0.0), loc(77, 1.0, 1.0)]));
-        let err = form_base_clusters_parallel(&net, &data, true, 4).unwrap_err();
+        let err =
+            form_base_clusters_parallel_with_policy(&net, &data, true, 4, ErrorPolicy::Strict)
+                .unwrap_err();
         assert!(matches!(err, NeatError::UnknownSegment(_)));
     }
 
@@ -1177,15 +915,25 @@ mod tests {
         }
     }
 
-    /// The arena fast path must reproduce the legacy per-trajectory path
-    /// exactly — clusters, counters, and the samples_scanned counter —
-    /// for every policy, junction mode, and thread count.
+    /// FNV-1a 64 of the `Debug` rendering of a phase-1 result.
+    fn fingerprint(out: &Phase1Output, counters: &ResilienceCounters) -> u64 {
+        format!("{out:?}\n{counters:?}")
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
+    /// Phase 1 reproduces the per-trajectory extractor it replaced:
+    /// fingerprints, op and settled-node totals below were recorded from
+    /// that extractor (one `Vec` per trajectory, no arena), for every
+    /// junction mode and non-strict policy. The 600-trajectory copy spans
+    /// 19 chunks, so threads 2 and 8 take the parallel path.
     #[test]
-    fn arena_path_matches_legacy_path() {
+    fn phase1_matches_the_recorded_legacy_path() {
         let net = net5();
         let mut data = mixed_dataset();
-        // Widen the fixture: multi-fragment trajectories, gap repair, and
-        // enough rows to cross several executor chunks.
+        // Widen the fixture: multi-fragment trajectories and gap repair.
         for id in 100..170 {
             let s = (id % 3) as usize;
             data.push(traj(
@@ -1198,23 +946,91 @@ mod tests {
                 ],
             ));
         }
-        for insert_junctions in [false, true] {
-            for policy in [ErrorPolicy::Skip, ErrorPolicy::Repair] {
+        let mut big = Dataset::new("big");
+        for rep in 0..8 {
+            for tr in data.trajectories() {
+                big.push(traj(tr.id().value() + rep * 1000, tr.points().to_vec()));
+            }
+        }
+        // (dataset, junctions, policy, fingerprint, ops, settled)
+        let recorded = [
+            (
+                &data,
+                false,
+                ErrorPolicy::Skip,
+                0x5398_4014_6e5c_6c2b,
+                75,
+                0,
+            ),
+            (
+                &data,
+                false,
+                ErrorPolicy::Repair,
+                0x0d09_ce8d_6da5_13bd,
+                75,
+                0,
+            ),
+            (
+                &data,
+                true,
+                ErrorPolicy::Skip,
+                0x1eda_1a0b_54ac_2ede,
+                351,
+                276,
+            ),
+            (
+                &data,
+                true,
+                ErrorPolicy::Repair,
+                0x897f_0465_161f_afec,
+                351,
+                276,
+            ),
+            (
+                &big,
+                false,
+                ErrorPolicy::Skip,
+                0xdf00_a2f6_bab9_2c18,
+                600,
+                0,
+            ),
+            (
+                &big,
+                false,
+                ErrorPolicy::Repair,
+                0x4a96_6979_14ed_4909,
+                600,
+                0,
+            ),
+            (
+                &big,
+                true,
+                ErrorPolicy::Skip,
+                0x3b08_102b_7d50_f2ae,
+                2808,
+                2208,
+            ),
+            (
+                &big,
+                true,
+                ErrorPolicy::Repair,
+                0xaefa_136a_2d09_c90f,
+                2808,
+                2208,
+            ),
+        ];
+        for (data, junctions, policy, fp, ops, settled) in recorded {
+            for threads in [1usize, 2, 8] {
                 let ctl = Control::unlimited();
-                let (legacy, legacy_counters, status) =
-                    form_base_clusters_seq_ctl(&net, &data, insert_junctions, policy, &ctl)
-                        .unwrap();
-                assert_eq!(status, PhaseStatus::Complete);
-                for threads in [1usize, 2, 8] {
-                    let (arena, counters) =
-                        form_base_clusters_arena(&net, &data, insert_junctions, threads, policy)
-                            .unwrap();
-                    assert_eq!(
-                        arena, legacy,
-                        "junctions={insert_junctions} {policy:?} threads={threads}"
-                    );
-                    assert_eq!(counters, legacy_counters);
-                }
+                let (out, counters, status) =
+                    form_base_clusters_ctl(&net, data, junctions, threads, policy, &ctl).unwrap();
+                let what = format!(
+                    "{} junctions={junctions} {policy:?} threads={threads}",
+                    data.len()
+                );
+                assert_eq!(status, PhaseStatus::Complete, "{what}");
+                assert_eq!(fingerprint(&out, &counters), fp, "{what}");
+                assert_eq!((ctl.ops(), ctl.settled()), (ops, settled), "{what}");
             }
         }
     }
@@ -1233,10 +1049,9 @@ mod tests {
     #[test]
     fn direction_preserved_in_fragment_order() {
         let net = net5();
-        let mut eng = ShortestPathEngine::new(&net);
         // Travel backwards: s3 → s0.
         let tr = traj(1, vec![loc(3, 350.0, 0.0), loc(0, 50.0, 30.0)]);
-        let frags = extract_fragments_with_junctions(&net, &mut eng, &tr).unwrap();
+        let frags = extract(&net, &tr);
         let segs: Vec<usize> = frags.iter().map(|f| f.segment.index()).collect();
         assert_eq!(segs, vec![3, 2, 1, 0]);
     }

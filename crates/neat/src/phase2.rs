@@ -144,7 +144,9 @@ pub fn form_flow_clusters_ctl(
     form_flow_clusters_inner(net, base_clusters, config, &mut None, Some(ctl))
 }
 
-fn form_flow_clusters_inner(
+/// The one Phase-2 body behind every entry point; `ctl == None` is a
+/// free run.
+pub(crate) fn form_flow_clusters_inner(
     net: &RoadNetwork,
     base_clusters: Vec<BaseCluster>,
     config: &NeatConfig,

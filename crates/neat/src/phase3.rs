@@ -165,28 +165,18 @@ impl<'a> DistanceOracle<'a> {
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
         let (d, fresh) = self
             .pair_cache
-            .try_get_or_insert_with(pair_key(lo, hi), || match (self.strategy, ctl) {
-                (SpStrategy::AStar, None) => Ok(engine.distance_bounded(
+            .try_get_or_insert_with(pair_key(lo, hi), || match self.strategy {
+                SpStrategy::AStar => engine.distance_bounded_ctl(
                     self.net,
                     lo,
                     hi,
                     TravelMode::Undirected,
                     self.epsilon,
-                )),
-                (SpStrategy::AStar, Some(c)) => engine.distance_bounded_ctl(
-                    self.net,
-                    lo,
-                    hi,
-                    TravelMode::Undirected,
-                    self.epsilon,
-                    c,
+                    ctl,
                 ),
-                (SpStrategy::Dijkstra, None) => {
-                    // Plain unbounded network expansion: the paper's
-                    // opt-NEAT-Dijkstra baseline (Figure 7).
-                    Ok(engine.distance_plain(self.net, lo, hi))
-                }
-                (SpStrategy::Dijkstra, Some(c)) => engine.distance_plain_ctl(self.net, lo, hi, c),
+                // Plain unbounded network expansion: the paper's
+                // opt-NEAT-Dijkstra baseline (Figure 7).
+                SpStrategy::Dijkstra => engine.distance_plain_ctl(self.net, lo, hi, ctl),
             })?;
         if fresh {
             stats.sp_computations += 1;
@@ -434,7 +424,7 @@ pub fn refine_flow_clusters(
     flows: Vec<FlowCluster>,
     config: &NeatConfig,
 ) -> Result<Phase3Output, NeatError> {
-    refine_inner(net, flows, config, None).map(|c| c.output)
+    refine_flow_clusters_ctl(net, flows, config, None).map(|c| c.output)
 }
 
 /// Result of a controlled Phase 3.
@@ -449,34 +439,6 @@ pub struct ControlledRefinement {
     /// pair comparisons (degradation ladder rung between "exhaustive"
     /// and "skip refinement").
     pub elb_only: bool,
-}
-
-/// Phase 3 under a [`Control`], walking the in-phase degradation ladder:
-///
-/// 1. **Exhaustive** — exact network distances (with the ELB/ALT
-///    pre-filter when configured), one cancel point per candidate pair
-///    and per settled node inside each shortest path or one-to-many
-///    expansion.
-/// 2. **ELB-only** — on budget exhaustion under [`OverrunMode::Degrade`]
-///    the remaining pairs are decided by the Euclidean lower bound alone
-///    (`d_E ≤ ε`), which costs no shortest paths. Only cancellation is
-///    polled from here on: the budget is knowingly spent.
-/// 3. **Stop** — on cancellation (any rung) or any interrupt under
-///    [`OverrunMode::Partial`], refinement stops; flows not yet grouped
-///    are emitted as singleton clusters so the output stays a valid
-///    partition of the input.
-///
-/// # Errors
-///
-/// Same as [`refine_flow_clusters`] — interrupts are reported in the
-/// returned status, never as errors.
-pub fn refine_flow_clusters_ctl(
-    net: &RoadNetwork,
-    flows: Vec<FlowCluster>,
-    config: &NeatConfig,
-    ctl: &Control,
-) -> Result<ControlledRefinement, NeatError> {
-    refine_inner(net, flows, config, Some(ctl))
 }
 
 /// `true` when interrupt `why` should switch the phase to the ELB-only
@@ -613,7 +575,30 @@ fn scan_exact_sequential(
     Ok(())
 }
 
-fn refine_inner(
+/// Phase 3 under an optional [`Control`], walking the in-phase
+/// degradation ladder:
+///
+/// 1. **Exhaustive** — exact network distances (with the ELB/ALT
+///    pre-filter when configured), one cancel point per candidate pair
+///    and per settled node inside each shortest path or one-to-many
+///    expansion.
+/// 2. **ELB-only** — on budget exhaustion under [`OverrunMode::Degrade`]
+///    the remaining pairs are decided by the Euclidean lower bound alone
+///    (`d_E ≤ ε`), which costs no shortest paths. Only cancellation is
+///    polled from here on: the budget is knowingly spent.
+/// 3. **Stop** — on cancellation (any rung) or any interrupt under
+///    [`OverrunMode::Partial`], refinement stops; flows not yet grouped
+///    are emitted as singleton clusters so the output stays a valid
+///    partition of the input.
+///
+/// `ctl == None` is a free run: it never stops early and may fan its
+/// exact scan out over uncontrolled workers.
+///
+/// # Errors
+///
+/// Same as [`refine_flow_clusters`] — interrupts are reported in the
+/// returned status, never as errors.
+pub fn refine_flow_clusters_ctl(
     net: &RoadNetwork,
     flows: Vec<FlowCluster>,
     config: &NeatConfig,
@@ -740,6 +725,11 @@ fn refine_inner(
                             ds,
                         )
                     };
+                    // Free runs keep the uncontrolled `map`: an unlimited
+                    // control through `try_map_ctl` decides the same, but
+                    // its speculative rounds raised batch peak RSS by
+                    // 5–8% on the `layers` batch workloads (per-thread
+                    // allocator arenas), with no latency change.
                     let (kept, halted) = match ctl {
                         Some(c) => {
                             let res = exec.try_map_ctl(

@@ -10,11 +10,9 @@ use crate::config::NeatConfig;
 use crate::control::{Completeness, Degradation, DegradationStep, Outcome, PhaseStatus};
 use crate::error::NeatError;
 use crate::model::{BaseCluster, FlowCluster, TrajectoryCluster};
-use crate::phase1::{
-    form_base_clusters_ctl, form_base_clusters_parallel_with_policy, ResilienceCounters,
-};
-use crate::phase2::{form_flow_clusters, form_flow_clusters_ctl};
-use crate::phase3::{refine_flow_clusters, refine_flow_clusters_ctl, Phase3Stats};
+use crate::phase1::{form_base_clusters_ctl, ResilienceCounters};
+use crate::phase2::form_flow_clusters_inner;
+use crate::phase3::{refine_flow_clusters_ctl, Phase3Stats};
 use neat_rnet::RoadNetwork;
 use neat_runctl::Control;
 use neat_traj::sanitize::ErrorPolicy;
@@ -76,7 +74,7 @@ pub struct NeatResult {
     /// Number of t-fragments Phase 1 extracted.
     pub fragment_count: usize,
     /// Samples Phase 1 scanned — a deterministic work counter, identical
-    /// at every thread count (see the `pr6_frontend` bench gate).
+    /// at every thread count.
     pub samples_scanned: usize,
     /// Phase-2 flow clusters that passed the `minCard` filter (empty for
     /// [`Mode::Base`]).
@@ -194,76 +192,8 @@ impl<'a> Neat<'a> {
         mode: Mode,
         policy: ErrorPolicy,
     ) -> Result<NeatResult, NeatError> {
-        self.config.validate()?;
-        let mut timings = PhaseTimings::default();
-
-        let t0 = Instant::now(); // lint:allow(L5) reason=phase timing instrumentation only; never influences clustering
-        let (p1, resilience) = form_base_clusters_parallel_with_policy(
-            self.net,
-            dataset,
-            self.config.insert_junctions,
-            self.config.threads,
-            policy,
-        )?;
-        timings.phase1 = t0.elapsed();
-        let base_cluster_count = p1.base_clusters.len();
-        let fragment_count = p1.fragment_count;
-        let samples_scanned = p1.samples_scanned;
-
-        if mode == Mode::Base {
-            return Ok(NeatResult {
-                mode,
-                base_clusters: p1.base_clusters,
-                base_cluster_count,
-                fragment_count,
-                samples_scanned,
-                flow_clusters: Vec::new(),
-                discarded_flows: 0,
-                clusters: Vec::new(),
-                phase3_stats: Phase3Stats::default(),
-                timings,
-                resilience,
-            });
-        }
-
-        let t1 = Instant::now(); // lint:allow(L5) reason=phase timing instrumentation only; never influences clustering
-        let p2 = form_flow_clusters(self.net, p1.base_clusters, &self.config)?;
-        timings.phase2 = t1.elapsed();
-
-        if mode == Mode::Flow {
-            return Ok(NeatResult {
-                mode,
-                base_clusters: Vec::new(),
-                base_cluster_count,
-                fragment_count,
-                samples_scanned,
-                flow_clusters: p2.flow_clusters,
-                discarded_flows: p2.discarded,
-                clusters: Vec::new(),
-                phase3_stats: Phase3Stats::default(),
-                timings,
-                resilience,
-            });
-        }
-
-        let t2 = Instant::now(); // lint:allow(L5) reason=phase timing instrumentation only; never influences clustering
-        let flow_clusters = p2.flow_clusters.clone();
-        let p3 = refine_flow_clusters(self.net, p2.flow_clusters, &self.config)?;
-        timings.phase3 = t2.elapsed();
-
-        Ok(NeatResult {
-            mode,
-            base_clusters: Vec::new(),
-            base_cluster_count,
-            fragment_count,
-            samples_scanned,
-            flow_clusters,
-            discarded_flows: p2.discarded,
-            clusters: p3.clusters,
-            phase3_stats: p3.stats,
-            timings,
-            resilience,
-        })
+        self.run_inner(dataset, mode, policy, None)
+            .map(|outcome| outcome.result)
     }
 
     /// Runs the pipeline under a [`Control`]: cooperative cancel points
@@ -287,11 +217,27 @@ impl<'a> Neat<'a> {
         policy: ErrorPolicy,
         ctl: &Control,
     ) -> Result<Outcome, NeatError> {
+        self.run_inner(dataset, mode, policy, Some(ctl))
+    }
+
+    /// The one pipeline body. Phases 2 and 3 get `ctl` as given, so a
+    /// free run keeps phase 3's uncontrolled parallel exact scan.
+    fn run_inner(
+        &self,
+        dataset: &Dataset,
+        mode: Mode,
+        policy: ErrorPolicy,
+        ctl: Option<&Control>,
+    ) -> Result<Outcome, NeatError> {
         self.config.validate()?;
         let requested = mode;
         let mut timings = PhaseTimings::default();
+        // Phase 1 always runs under a control; an unlimited one has no
+        // observer, so its phase hooks are no-ops.
+        let free = Control::unlimited();
+        let control = ctl.unwrap_or(&free);
 
-        ctl.phase_start("phase1");
+        control.phase_start("phase1");
         let t0 = Instant::now(); // lint:allow(L5) reason=phase timing instrumentation only; never influences clustering
         let (p1, resilience, s1) = form_base_clusters_ctl(
             self.net,
@@ -299,13 +245,23 @@ impl<'a> Neat<'a> {
             self.config.insert_junctions,
             self.config.threads,
             policy,
-            ctl,
+            control,
         )?;
         timings.phase1 = t0.elapsed();
-        ctl.phase_end("phase1");
-        let base_cluster_count = p1.base_clusters.len();
-        let fragment_count = p1.fragment_count;
-        let samples_scanned = p1.samples_scanned;
+        control.phase_end("phase1");
+        let mut result = NeatResult {
+            mode: Mode::Base,
+            base_clusters: Vec::new(),
+            base_cluster_count: p1.base_clusters.len(),
+            fragment_count: p1.fragment_count,
+            samples_scanned: p1.samples_scanned,
+            flow_clusters: Vec::new(),
+            discarded_flows: 0,
+            clusters: Vec::new(),
+            phase3_stats: Phase3Stats::default(),
+            timings,
+            resilience,
+        };
 
         if requested == Mode::Base || !s1.is_complete() {
             // Ladder bottom: deliver base-NEAT, possibly truncated.
@@ -326,20 +282,9 @@ impl<'a> Neat<'a> {
                     }
                 }
             }
+            result.base_clusters = p1.base_clusters;
             return Ok(Outcome {
-                result: NeatResult {
-                    mode: Mode::Base,
-                    base_clusters: p1.base_clusters,
-                    base_cluster_count,
-                    fragment_count,
-                    samples_scanned,
-                    flow_clusters: Vec::new(),
-                    discarded_flows: 0,
-                    clusters: Vec::new(),
-                    phase3_stats: Phase3Stats::default(),
-                    timings,
-                    resilience,
-                },
+                result,
                 completeness: Completeness {
                     phase1: s1,
                     phase2,
@@ -354,11 +299,14 @@ impl<'a> Neat<'a> {
             });
         }
 
-        ctl.phase_start("phase2");
+        control.phase_start("phase2");
         let t1 = Instant::now(); // lint:allow(L5) reason=phase timing instrumentation only; never influences clustering
-        let (p2, s2) = form_flow_clusters_ctl(self.net, p1.base_clusters, &self.config, ctl)?;
-        timings.phase2 = t1.elapsed();
-        ctl.phase_end("phase2");
+        let (p2, s2) =
+            form_flow_clusters_inner(self.net, p1.base_clusters, &self.config, &mut None, ctl)?;
+        result.timings.phase2 = t1.elapsed();
+        control.phase_end("phase2");
+        result.mode = Mode::Flow;
+        result.discarded_flows = p2.discarded;
 
         if requested == Mode::Flow || !s2.is_complete() {
             // Middle rung: deliver flow-NEAT, possibly with a truncated
@@ -376,20 +324,9 @@ impl<'a> Neat<'a> {
                     steps.push(DegradationStep::SkippedPhase3);
                 }
             }
+            result.flow_clusters = p2.flow_clusters;
             return Ok(Outcome {
-                result: NeatResult {
-                    mode: Mode::Flow,
-                    base_clusters: Vec::new(),
-                    base_cluster_count,
-                    fragment_count,
-                    samples_scanned,
-                    flow_clusters: p2.flow_clusters,
-                    discarded_flows: p2.discarded,
-                    clusters: Vec::new(),
-                    phase3_stats: Phase3Stats::default(),
-                    timings,
-                    resilience,
-                },
+                result,
                 completeness: Completeness {
                     phase1: s1,
                     phase2: s2,
@@ -404,12 +341,15 @@ impl<'a> Neat<'a> {
             });
         }
 
-        ctl.phase_start("phase3");
+        control.phase_start("phase3");
         let t2 = Instant::now(); // lint:allow(L5) reason=phase timing instrumentation only; never influences clustering
-        let flow_clusters = p2.flow_clusters.clone();
+        result.flow_clusters = p2.flow_clusters.clone();
         let refined = refine_flow_clusters_ctl(self.net, p2.flow_clusters, &self.config, ctl)?;
-        timings.phase3 = t2.elapsed();
-        ctl.phase_end("phase3");
+        result.timings.phase3 = t2.elapsed();
+        control.phase_end("phase3");
+        result.mode = Mode::Opt;
+        result.clusters = refined.output.clusters;
+        result.phase3_stats = refined.output.stats;
 
         let s3 = refined.status;
         let mut steps = Vec::new();
@@ -423,19 +363,7 @@ impl<'a> Neat<'a> {
             });
         }
         Ok(Outcome {
-            result: NeatResult {
-                mode: Mode::Opt,
-                base_clusters: Vec::new(),
-                base_cluster_count,
-                fragment_count,
-                samples_scanned,
-                flow_clusters,
-                discarded_flows: p2.discarded,
-                clusters: refined.output.clusters,
-                phase3_stats: refined.output.stats,
-                timings,
-                resilience,
-            },
+            result,
             completeness: Completeness {
                 phase1: s1,
                 phase2: s2,

@@ -83,10 +83,7 @@ impl AltLandmarks {
         let mut min_to_chosen = vec![f64::INFINITY; n];
         let mut next = NodeId::new(0);
         for _ in 0..k.min(n) {
-            let table = match ctl {
-                Some(c) => engine.distances_from_ctl(net, next, mode, c)?,
-                None => Ok::<_, Interrupt>(engine.distances_from(net, next, mode))?,
-            };
+            let table = engine.distances_from_ctl(net, next, mode, ctl)?;
             for (i, &d) in table.iter().enumerate() {
                 if d < min_to_chosen[i] {
                     min_to_chosen[i] = d;

@@ -216,60 +216,29 @@ impl ShortestPathEngine {
         )
     }
 
-    /// Budget-aware [`ShortestPathEngine::distance`]: charges every node
-    /// settlement against `ctl` and stops mid-expansion when a limit
-    /// fires.
-    ///
-    /// # Errors
-    ///
-    /// Returns the latched [`Interrupt`] when the control stops the
-    /// search; `Ok(None)` still means plain unreachability.
-    pub fn distance_ctl(
-        &mut self,
-        net: &RoadNetwork,
-        from: NodeId,
-        to: NodeId,
-        mode: TravelMode,
-        ctl: &Control,
-    ) -> Result<Option<f64>, Interrupt> {
-        self.search_ctl(
-            net,
-            from,
-            Some(to),
-            mode,
-            f64::INFINITY,
-            true,
-            CostModel::Distance,
-            Some(ctl),
-        )
-    }
-
     /// Undirected network distance computed with plain Dijkstra network
     /// expansion (no heuristic) — the paper's baseline for the Phase-3
     /// ablation (`opt-NEAT-Dijkstra`, Figure 7).
     pub fn distance_plain(&mut self, net: &RoadNetwork, from: NodeId, to: NodeId) -> Option<f64> {
-        self.search(
-            net,
-            from,
-            Some(to),
-            TravelMode::Undirected,
-            f64::INFINITY,
-            false,
-            CostModel::Distance,
-        )
+        // Infallible without a control.
+        self.distance_plain_ctl(net, from, to, None).unwrap_or(None)
     }
 
-    /// Budget-aware [`ShortestPathEngine::distance_plain`].
+    /// [`ShortestPathEngine::distance_plain`] under an optional
+    /// control: every node settlement is charged against `ctl`, and the
+    /// search stops mid-expansion when a limit fires.
     ///
     /// # Errors
     ///
-    /// Same contract as [`ShortestPathEngine::distance_ctl`].
+    /// Returns the latched [`Interrupt`] when the control stops the
+    /// search; `Ok(None)` still means plain unreachability. Never fails
+    /// without a control.
     pub fn distance_plain_ctl(
         &mut self,
         net: &RoadNetwork,
         from: NodeId,
         to: NodeId,
-        ctl: &Control,
+        ctl: Option<&Control>,
     ) -> Result<Option<f64>, Interrupt> {
         self.search_ctl(
             net,
@@ -279,7 +248,7 @@ impl ShortestPathEngine {
             f64::INFINITY,
             false,
             CostModel::Distance,
-            Some(ctl),
+            ctl,
         )
     }
 
@@ -296,14 +265,17 @@ impl ShortestPathEngine {
         mode: TravelMode,
         bound: f64,
     ) -> Option<f64> {
-        self.search(net, from, Some(to), mode, bound, true, CostModel::Distance)
+        // Infallible without a control.
+        self.distance_bounded_ctl(net, from, to, mode, bound, None)
+            .unwrap_or(None)
     }
 
-    /// Budget-aware [`ShortestPathEngine::distance_bounded`].
+    /// [`ShortestPathEngine::distance_bounded`] under an optional
+    /// control.
     ///
     /// # Errors
     ///
-    /// Same contract as [`ShortestPathEngine::distance_ctl`].
+    /// Same contract as [`ShortestPathEngine::distance_plain_ctl`].
     pub fn distance_bounded_ctl(
         &mut self,
         net: &RoadNetwork,
@@ -311,7 +283,7 @@ impl ShortestPathEngine {
         to: NodeId,
         mode: TravelMode,
         bound: f64,
-        ctl: &Control,
+        ctl: Option<&Control>,
     ) -> Result<Option<f64>, Interrupt> {
         self.search_ctl(
             net,
@@ -321,7 +293,7 @@ impl ShortestPathEngine {
             bound,
             true,
             CostModel::Distance,
-            Some(ctl),
+            ctl,
         )
     }
 
@@ -333,30 +305,22 @@ impl ShortestPathEngine {
         to: NodeId,
         mode: TravelMode,
     ) -> Option<Route> {
-        let length = self.search(
-            net,
-            from,
-            Some(to),
-            mode,
-            f64::INFINITY,
-            true,
-            CostModel::Distance,
-        )?;
-        Some(self.rebuild_route(from, to, length))
+        // Infallible without a control.
+        self.route_ctl(net, from, to, mode, None).unwrap_or(None)
     }
 
-    /// Budget-aware [`ShortestPathEngine::route`].
+    /// [`ShortestPathEngine::route`] under an optional control.
     ///
     /// # Errors
     ///
-    /// Same contract as [`ShortestPathEngine::distance_ctl`].
+    /// Same contract as [`ShortestPathEngine::distance_plain_ctl`].
     pub fn route_ctl(
         &mut self,
         net: &RoadNetwork,
         from: NodeId,
         to: NodeId,
         mode: TravelMode,
-        ctl: &Control,
+        ctl: Option<&Control>,
     ) -> Result<Option<Route>, Interrupt> {
         let length = self.search_ctl(
             net,
@@ -366,7 +330,7 @@ impl ShortestPathEngine {
             f64::INFINITY,
             true,
             CostModel::Distance,
-            Some(ctl),
+            ctl,
         )?;
         Ok(length.map(|l| self.rebuild_route(from, to, l)))
     }
@@ -433,31 +397,25 @@ impl ShortestPathEngine {
         from: NodeId,
         mode: TravelMode,
     ) -> Vec<f64> {
-        self.search(
-            net,
-            from,
-            None,
-            mode,
-            f64::INFINITY,
-            false,
-            CostModel::Distance,
-        );
-        self.collect_distances(net)
+        // Infallible without a control.
+        self.distances_from_ctl(net, from, mode, None)
+            .unwrap_or_default()
     }
 
-    /// Budget-aware [`ShortestPathEngine::distances_from`]. An interrupt
-    /// abandons the expansion entirely rather than returning a partially
-    /// settled (and therefore misleading) distance table.
+    /// [`ShortestPathEngine::distances_from`] under an optional
+    /// control. An interrupt abandons the expansion entirely rather than
+    /// returning a partially settled (and therefore misleading) distance
+    /// table.
     ///
     /// # Errors
     ///
-    /// Same contract as [`ShortestPathEngine::distance_ctl`].
+    /// Same contract as [`ShortestPathEngine::distance_plain_ctl`].
     pub fn distances_from_ctl(
         &mut self,
         net: &RoadNetwork,
         from: NodeId,
         mode: TravelMode,
-        ctl: &Control,
+        ctl: Option<&Control>,
     ) -> Result<Vec<f64>, Interrupt> {
         self.search_ctl(
             net,
@@ -467,7 +425,7 @@ impl ShortestPathEngine {
             f64::INFINITY,
             false,
             CostModel::Distance,
-            Some(ctl),
+            ctl,
         )?;
         Ok(self.collect_distances(net))
     }
@@ -500,7 +458,7 @@ impl ShortestPathEngine {
     ///
     /// # Errors
     ///
-    /// Same contract as [`ShortestPathEngine::distance_ctl`].
+    /// Same contract as [`ShortestPathEngine::distance_plain_ctl`].
     pub fn distances_within_ctl(
         &mut self,
         net: &RoadNetwork,
@@ -530,7 +488,7 @@ impl ShortestPathEngine {
     ///
     /// # Errors
     ///
-    /// Same contract as [`ShortestPathEngine::distance_ctl`].
+    /// Same contract as [`ShortestPathEngine::distance_plain_ctl`].
     pub fn distances_within_targets_ctl(
         &mut self,
         net: &RoadNetwork,
@@ -1042,19 +1000,22 @@ mod tests {
         let mut sp = ShortestPathEngine::new(&net);
         let ctl = Control::unlimited();
         assert_eq!(
-            sp.distance_ctl(&net, ids[0], ids[8], TravelMode::Undirected, &ctl),
+            sp.distance_plain_ctl(&net, ids[0], ids[8], Some(&ctl)),
             Ok(Some(400.0))
         );
         assert_eq!(
-            sp.distance_plain_ctl(&net, ids[0], ids[8], &ctl),
-            Ok(Some(400.0))
-        );
-        assert_eq!(
-            sp.distance_bounded_ctl(&net, ids[0], ids[8], TravelMode::Undirected, 200.0, &ctl),
+            sp.distance_bounded_ctl(
+                &net,
+                ids[0],
+                ids[8],
+                TravelMode::Undirected,
+                200.0,
+                Some(&ctl)
+            ),
             Ok(None)
         );
         let route = sp
-            .route_ctl(&net, ids[0], ids[8], TravelMode::Undirected, &ctl)
+            .route_ctl(&net, ids[0], ids[8], TravelMode::Undirected, Some(&ctl))
             .unwrap()
             .unwrap();
         assert_eq!(
@@ -1063,7 +1024,7 @@ mod tests {
                 .unwrap()
         );
         let table = sp
-            .distances_from_ctl(&net, ids[0], TravelMode::Undirected, &ctl)
+            .distances_from_ctl(&net, ids[0], TravelMode::Undirected, Some(&ctl))
             .unwrap();
         assert_eq!(
             table,
@@ -1082,13 +1043,20 @@ mod tests {
             CancelToken::new(),
         );
         assert_eq!(
-            sp.distance_ctl(&net, ids[0], ids[8], TravelMode::Undirected, &ctl),
+            sp.distance_bounded_ctl(
+                &net,
+                ids[0],
+                ids[8],
+                TravelMode::Undirected,
+                f64::INFINITY,
+                Some(&ctl)
+            ),
             Err(Interrupt::SettledNodeBudgetExhausted)
         );
         // The interrupt is latched: a fresh query through the same control
         // fails immediately…
         assert!(sp
-            .distances_from_ctl(&net, ids[0], TravelMode::Undirected, &ctl)
+            .distances_from_ctl(&net, ids[0], TravelMode::Undirected, Some(&ctl))
             .is_err());
         // …but the engine itself stays healthy for uncontrolled queries.
         assert_eq!(
@@ -1106,7 +1074,7 @@ mod tests {
         token.cancel();
         let ctl = Control::new(RunBudget::unlimited(), token);
         assert_eq!(
-            sp.route_ctl(&net, ids[0], ids[8], TravelMode::Undirected, &ctl),
+            sp.route_ctl(&net, ids[0], ids[8], TravelMode::Undirected, Some(&ctl)),
             Err(Interrupt::Cancelled)
         );
     }
