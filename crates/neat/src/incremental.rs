@@ -9,7 +9,9 @@
 //! [`IncrementalNeat`] implements exactly that loop: each
 //! [`IncrementalNeat::ingest`] call runs Phases 1–2 on the fresh batch
 //! only, appends the resulting flow clusters to the retained set and
-//! re-refines with the density-based Phase 3.
+//! re-refines with the density-based Phase 3, once per change to the
+//! retained flows. The last `Complete` refinement is kept as the view
+//! that reads and drift diffs reuse; a degraded one is never kept.
 
 use crate::checkpoint::{self, CheckpointError, CheckpointStore, ResumeReport};
 use crate::config::NeatConfig;
@@ -18,7 +20,7 @@ use crate::error::NeatError;
 use crate::model::{FlowCluster, TrajectoryCluster};
 use crate::phase1::{form_base_clusters_ctl, ResilienceCounters};
 use crate::phase2::form_flow_clusters_inner;
-use crate::phase3::{refine_flow_clusters, refine_flow_clusters_ctl, Phase3Stats};
+use crate::phase3::{refine_flow_clusters_ctl, ControlledRefinement, Phase3Stats};
 use crate::pipeline::Mode;
 use crate::retention::{self, ExpiryOutcome};
 use neat_durability::fs::Fs;
@@ -40,8 +42,8 @@ use neat_traj::Dataset;
 pub struct IngestOutcome {
     /// Current trajectory clusters. Empty when `applied` is false (the
     /// pre-batch view is available via
-    /// [`IncrementalNeat::current_clusters`]); possibly produced by a
-    /// degraded refinement when `applied` is true.
+    /// [`IncrementalNeat::current_clusters`]); possibly degraded, and
+    /// then not kept as the session's view, when `applied` is true.
     pub clusters: Vec<TrajectoryCluster>,
     /// Whether the batch was folded into the retained state. False only
     /// when Phase 1 or Phase 2 of the batch was interrupted.
@@ -88,6 +90,9 @@ pub struct IncrementalNeat<'a> {
     /// Logical-time retention watermark: every retained t-fragment has
     /// `last.time >= watermark`. `None` until the first expiry.
     watermark: Option<f64>,
+    /// Clusters of the last `Complete` refinement of `flows`, if the
+    /// flows have not changed since.
+    view: Option<Vec<TrajectoryCluster>>,
 }
 
 impl<'a> IncrementalNeat<'a> {
@@ -101,6 +106,7 @@ impl<'a> IncrementalNeat<'a> {
             last_stats: Phase3Stats::default(),
             resilience: ResilienceCounters::default(),
             watermark: None,
+            view: None,
         }
     }
 
@@ -290,7 +296,7 @@ impl<'a> IncrementalNeat<'a> {
 
         // Refinement reads the retained flows but never mutates them, so
         // a degraded or partial grouping here only affects this view.
-        let refined = refine_flow_clusters_ctl(self.net, self.flows.clone(), &self.config, ctl)?;
+        let refined = self.refresh_view(ctl)?;
         self.last_stats = refined.output.stats;
         let s3 = refined.status;
         let mut steps = Vec::new();
@@ -331,16 +337,36 @@ impl<'a> IncrementalNeat<'a> {
         &self.config
     }
 
-    /// Re-runs Phase 3 on the retained flows and returns the current
-    /// trajectory clusters without ingesting anything — the view a
-    /// resumed session exposes before its first new batch.
+    /// The current trajectory clusters: the stored view. Phase 3 runs
+    /// (without storing) only when there is none — after a degraded
+    /// refinement, or on a resumed session before its first operation.
     ///
     /// # Errors
     ///
     /// Propagates configuration errors from the refinement phase.
     pub fn current_clusters(&self) -> Result<Vec<TrajectoryCluster>, NeatError> {
-        let p3 = refine_flow_clusters(self.net, self.flows.clone(), &self.config)?;
-        Ok(p3.clusters)
+        match &self.view {
+            Some(view) => Ok(view.clone()),
+            None => Ok(self.refine(None)?.output.clusters),
+        }
+    }
+
+    /// The one Phase-3 call: refines a copy of the retained flows.
+    fn refine(&self, ctl: Option<&Control>) -> Result<ControlledRefinement, NeatError> {
+        #[cfg(test)]
+        tests::REFINEMENTS.with(|n| n.set(n.get() + 1));
+        refine_flow_clusters_ctl(self.net, self.flows.clone(), &self.config, ctl)
+    }
+
+    /// Refines the retained flows and stores the result as the view
+    /// when it finished `Complete`; any other outcome clears the view.
+    fn refresh_view(&mut self, ctl: Option<&Control>) -> Result<ControlledRefinement, NeatError> {
+        let refined = self.refine(ctl);
+        self.view = match &refined {
+            Ok(r) if r.status == PhaseStatus::Complete => Some(r.output.clusters.clone()),
+            _ => None,
+        };
+        refined
     }
 
     /// Filters freshly formed batch flows through the current watermark
@@ -360,43 +386,44 @@ impl<'a> IncrementalNeat<'a> {
     /// retained t-fragment observed strictly before it
     /// (`fragment.last.time < watermark`). Flows whose interior members
     /// empty out are split into contiguous runs; fully expired flows are
-    /// dropped. The state is re-refined and the cluster-level changes are
-    /// reported as typed [`retention::DriftEvent`]s.
+    /// dropped. Phase 3 re-refines the rest once; the cluster-level
+    /// changes against the stored view (refined afresh if there is none)
+    /// are reported as typed [`retention::DriftEvent`]s.
     ///
     /// The watermark is monotonic: a `watermark` at or below the current
-    /// one is an idempotent no-op (`advanced == false`, no state change,
-    /// no operation counted). An advance counts one operation in
-    /// [`IncrementalNeat::batches`] — the journal sequence domain — even
-    /// when nothing expires, because the new watermark itself changes how
-    /// future batches are admitted.
+    /// one, or one that is not finite, is an idempotent no-op
+    /// (`advanced == false`, no state change, no operation counted). An
+    /// advance counts one operation in [`IncrementalNeat::batches`] — the
+    /// journal sequence domain — even when nothing expires, because the
+    /// new watermark itself changes how future batches are admitted.
     ///
     /// # Errors
     ///
     /// Propagates configuration errors from the refinement phase.
     pub fn expire_before(&mut self, watermark: f64) -> Result<ExpiryOutcome, NeatError> {
         self.config.validate()?;
-        if let Some(current) = self.watermark {
-            if watermark <= current {
-                let p3 = refine_flow_clusters(self.net, self.flows.clone(), &self.config)?;
-                return Ok(ExpiryOutcome {
-                    watermark: current,
-                    advanced: false,
-                    expired_fragments: 0,
-                    expired_flows: 0,
-                    split_flows: 0,
-                    events: Vec::new(),
-                    clusters: p3.clusters,
-                });
-            }
+        if !watermark.is_finite() || self.watermark.is_some_and(|w| watermark <= w) {
+            return Ok(ExpiryOutcome {
+                watermark: self.watermark.unwrap_or(f64::NEG_INFINITY),
+                advanced: false,
+                expired_fragments: 0,
+                expired_flows: 0,
+                split_flows: 0,
+                events: Vec::new(),
+                clusters: self.current_clusters()?,
+            });
         }
-        let before = refine_flow_clusters(self.net, self.flows.clone(), &self.config)?;
+        let before = match self.view.take() {
+            Some(view) => view,
+            None => self.refine(None)?.output.clusters,
+        };
         let (kept, stats) = retention::expire_flows(std::mem::take(&mut self.flows), watermark);
         self.flows = kept;
         self.watermark = Some(watermark);
         self.batches += 1;
-        let after = refine_flow_clusters(self.net, self.flows.clone(), &self.config)?;
+        let after = self.refresh_view(None)?.output;
         self.last_stats = after.stats;
-        let events = retention::diff_drift(&before.clusters, &after.clusters);
+        let events = retention::diff_drift(&before, &after.clusters);
         Ok(ExpiryOutcome {
             watermark,
             advanced: true,
@@ -593,6 +620,7 @@ impl<'a> IncrementalNeat<'a> {
                     last_stats: state.last_stats,
                     resilience: state.resilience,
                     watermark: state.watermark,
+                    view: None,
                 }
             }
             None => IncrementalNeat::new(net, config),
@@ -630,26 +658,6 @@ impl<'a> IncrementalNeat<'a> {
         }
         Ok((session, report))
     }
-
-    /// Compacts the retained flow set: drops flows whose trajectory
-    /// cardinality has fallen below `min_card` (e.g. noise from early
-    /// batches) and returns how many were evicted. Long-running online
-    /// deployments call this periodically to bound state.
-    pub fn compact(&mut self, min_card: usize) -> usize {
-        let before = self.flows.len();
-        self.flows
-            .retain(|f| f.trajectory_cardinality() >= min_card);
-        before - self.flows.len()
-    }
-
-    /// Drops all retained state.
-    pub fn reset(&mut self) {
-        self.flows.clear();
-        self.batches = 0;
-        self.last_stats = Phase3Stats::default();
-        self.resilience = ResilienceCounters::default();
-        self.watermark = None;
-    }
 }
 
 #[cfg(test)]
@@ -658,6 +666,19 @@ mod tests {
     use neat_rnet::netgen::chain_network;
     use neat_rnet::{Point, RoadLocation, SegmentId};
     use neat_traj::{Trajectory, TrajectoryId};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Phase-3 runs on this test's thread, counted by `refine`.
+        pub(super) static REFINEMENTS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// Phase-3 runs `f` performs.
+    fn refinements<T>(f: impl FnOnce() -> T) -> (T, usize) {
+        let start = REFINEMENTS.with(Cell::get);
+        let out = f();
+        (out, REFINEMENTS.with(Cell::get) - start)
+    }
 
     fn traverse(id0: u64, count: u64, segs: &[usize]) -> Vec<Trajectory> {
         traverse_at(id0, count, segs, 0.0)
@@ -757,34 +778,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_state() {
-        let net = chain_network(6, 100.0, 10.0);
-        let mut online = IncrementalNeat::new(&net, cfg());
-        let mut b = Dataset::new("b");
-        b.extend(traverse(0, 3, &[0, 1]));
-        online.ingest(&b).unwrap();
-        assert!(!online.flow_clusters().is_empty());
-        online.reset();
-        assert!(online.flow_clusters().is_empty());
-        assert_eq!(online.batches(), 0);
-    }
-
-    #[test]
-    fn compact_evicts_small_flows() {
-        let net = chain_network(10, 100.0, 10.0);
-        let mut online = IncrementalNeat::new(&net, cfg());
-        let mut b1 = Dataset::new("b1");
-        b1.extend(traverse(0, 5, &[0, 1]));
-        b1.extend(traverse(100, 2, &[5, 6]));
-        online.ingest(&b1).unwrap();
-        assert_eq!(online.flow_clusters().len(), 2);
-        let evicted = online.compact(4);
-        assert_eq!(evicted, 1);
-        assert_eq!(online.flow_clusters().len(), 1);
-        assert!(online.flow_clusters()[0].trajectory_cardinality() >= 4);
-    }
-
-    #[test]
     fn faulty_batch_degrades_without_poisoning_the_session() {
         let net = chain_network(10, 100.0, 10.0);
         let mut online = IncrementalNeat::new(&net, cfg());
@@ -818,8 +811,8 @@ mod tests {
             online.resilience().skipped_ids,
             vec![TrajectoryId::new(900)]
         );
-        online.reset();
-        assert!(online.resilience().is_clean());
+        let fresh = IncrementalNeat::new(&net, cfg());
+        assert!(fresh.resilience().is_clean());
     }
 
     #[test]
@@ -1125,5 +1118,90 @@ mod tests {
         let s2 = online.last_refinement_stats();
         // Second refinement sees more flows, so it considers more pairs.
         assert!(s2.pairs_considered >= s1.pairs_considered);
+    }
+
+    #[test]
+    fn phase3_runs_once_per_state_change() {
+        let net = chain_network(12, 100.0, 10.0);
+        let mut online = IncrementalNeat::new(&net, cfg());
+        let mut old = Dataset::new("old");
+        old.extend(traverse_at(0, 3, &[0, 1, 2], 0.0));
+        let (_, n) = refinements(|| online.ingest(&old).unwrap());
+        assert_eq!(n, 1, "an ingest refines once");
+        let mut fresh = Dataset::new("fresh");
+        fresh.extend(traverse_at(100, 3, &[8, 9, 10], 1000.0));
+        let (view, n) = refinements(|| online.ingest(&fresh).unwrap());
+        assert_eq!(n, 1);
+        let (current, n) = refinements(|| online.current_clusters().unwrap());
+        assert_eq!((current, n), (view, 0), "current_clusters reads the view");
+
+        let (out, n) = refinements(|| online.expire_before(500.0).unwrap());
+        assert!(out.advanced);
+        assert_eq!(n, 1, "an advance refines only its post-expiry side");
+        let (noop, n) = refinements(|| online.expire_before(400.0).unwrap());
+        assert!(!noop.advanced);
+        assert_eq!(
+            (noop.clusters, n),
+            (out.clusters, 0),
+            "a no-op reads the view"
+        );
+    }
+
+    #[test]
+    fn a_resumed_session_refines_until_its_first_operation() {
+        use neat_durability::MemFs;
+
+        let net = chain_network(12, 100.0, 10.0);
+        let store = CheckpointStore::open(MemFs::new(), "/ckpt").unwrap();
+        let mut online = IncrementalNeat::new(&net, cfg());
+        let mut b = Dataset::new("b");
+        b.extend(traverse_at(0, 3, &[0, 1, 2], 0.0));
+        let live = online
+            .ingest_logged(&b, ErrorPolicy::Strict, &store)
+            .unwrap();
+        online.save_checkpoint(&store).unwrap();
+
+        // A snapshot carries no view: reads refine, and do not store it.
+        let (mut resumed, _) = IncrementalNeat::resume(&net, cfg(), &store).unwrap();
+        for _ in 0..2 {
+            let (clusters, n) = refinements(|| resumed.current_clusters().unwrap());
+            assert_eq!((&clusters, n), (&live, 1));
+        }
+        // Without a view, an advance refines both sides of its drift
+        // diff; afterwards the view is stored again.
+        let (_, n) = refinements(|| resumed.expire_before(5.0).unwrap());
+        assert_eq!(n, 2);
+        let (_, n) = refinements(|| resumed.current_clusters().unwrap());
+        assert_eq!(n, 0);
+    }
+
+    #[test]
+    fn non_finite_watermark_is_a_noop() {
+        let net = chain_network(12, 100.0, 10.0);
+        let mut online = IncrementalNeat::new(&net, cfg());
+        let mut b = Dataset::new("b");
+        b.extend(traverse_at(0, 3, &[0, 1, 2], 0.0));
+        online.ingest(&b).unwrap();
+        let flows = online.flow_clusters().to_vec();
+
+        for w in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let out = online.expire_before(w).unwrap();
+            assert!(!out.advanced, "{w} must not advance");
+            assert_eq!(out.expired_fragments, 0);
+            assert!(out.events.is_empty());
+            assert_eq!(out.clusters.len(), 1);
+            assert_eq!(online.flow_clusters(), flows.as_slice());
+            assert_eq!(online.batches(), 1);
+            assert_eq!(online.watermark(), None);
+        }
+
+        // A later finite advance still works.
+        let out = online.expire_before(500.0).unwrap();
+        assert!(out.advanced);
+        assert_eq!(out.expired_flows, 1);
+        assert_eq!(online.watermark(), Some(500.0));
+        assert_eq!(online.batches(), 2);
+        assert!(!online.expire_before(f64::NAN).unwrap().advanced);
+        assert_eq!(online.watermark(), Some(500.0));
     }
 }

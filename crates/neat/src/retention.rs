@@ -116,7 +116,7 @@ impl DriftCounts {
 /// call did to the retained state.
 #[derive(Debug, Clone)]
 pub struct ExpiryOutcome {
-    /// The watermark in effect after the call.
+    /// The watermark in effect after the call (`-inf` when none is).
     pub watermark: f64,
     /// Whether the watermark advanced (false = idempotent no-op).
     pub advanced: bool,
@@ -128,7 +128,8 @@ pub struct ExpiryOutcome {
     pub split_flows: usize,
     /// Cluster-lifecycle transitions caused by this expiry.
     pub events: Vec<DriftEvent>,
-    /// The trajectory clusters after expiry and re-refinement.
+    /// The trajectory clusters after the call: the re-refinement after
+    /// an advance, the session's stored view after a no-op.
     pub clusters: Vec<TrajectoryCluster>,
 }
 

@@ -13,10 +13,19 @@
 //! watermark ticks with batches — the chaos and soak harnesses lean on
 //! it. The second law is idempotence: re-expiring at the same (or an
 //! older) watermark must change nothing and report `advanced = false`.
+//!
+//! The third is the view contract: the clusters a session keeps between
+//! operations never diverge from a fresh phase-3 refinement of its
+//! retained flows, and drift is always diffed between two full
+//! refinements — never against a degraded view.
 
-use neat_core::{ErrorPolicy, IncrementalNeat, NeatConfig};
+use neat_core::phase3::refine_flow_clusters;
+use neat_core::{
+    diff_drift, DegradationStep, ErrorPolicy, IncrementalNeat, NeatConfig, TrajectoryCluster,
+};
 use neat_rnet::netgen::chain_network;
 use neat_rnet::{Point, RoadLocation, RoadNetwork, SegmentId};
+use neat_runctl::{CancelToken, Control, OverrunMode, RunBudget};
 use neat_traj::{Dataset, Trajectory, TrajectoryId};
 use proptest::prelude::*;
 
@@ -71,8 +80,114 @@ fn fingerprint(s: &IncrementalNeat<'_>) -> String {
     )
 }
 
+/// A full phase-3 refinement of `s`'s retained flows, from scratch.
+fn fresh(net: &RoadNetwork, s: &IncrementalNeat<'_>) -> Vec<TrajectoryCluster> {
+    refine_flow_clusters(net, s.flow_clusters().to_vec(), s.config())
+        .unwrap()
+        .clusters
+}
+
+/// Ingests `batch` under the smallest op budget that lets phases 1–2
+/// finish, so phase 3 runs out of budget and degrades to ELB-only
+/// decisions. Returns the degraded clusters, or `None` (with `s`
+/// untouched) when no budget degrades — phase 3 with fewer than two
+/// flows has no pair to decide.
+fn ingest_elb_only(s: &mut IncrementalNeat<'_>, batch: &Dataset) -> Option<Vec<TrajectoryCluster>> {
+    let probe = Control::unlimited();
+    s.clone()
+        .ingest_controlled(batch, ErrorPolicy::Strict, &probe)
+        .unwrap();
+    for ops in 0..=probe.ops() {
+        let ctl = Control::new(RunBudget::unlimited().with_max_ops(ops), CancelToken::new())
+            .with_overrun(OverrunMode::Degrade);
+        let mut trial = s.clone();
+        let out = trial
+            .ingest_controlled(batch, ErrorPolicy::Strict, &ctl)
+            .unwrap();
+        if out.applied {
+            if !out
+                .degradation
+                .steps
+                .contains(&DegradationStep::ElbOnlyPhase3)
+            {
+                return None;
+            }
+            *s = trial;
+            return Some(out.clusters);
+        }
+    }
+    None
+}
+
+/// Advances `s` to `w` and checks the outcome against fresh refinements
+/// on both sides of the expiry.
+fn checked_advance(
+    net: &RoadNetwork,
+    s: &mut IncrementalNeat<'_>,
+    w: f64,
+) -> Result<(), TestCaseError> {
+    let before = fresh(net, s);
+    let out = s.expire_before(w).unwrap();
+    prop_assert!(out.advanced, "{w} must advance past {:?}", s.watermark());
+    let after = fresh(net, s);
+    prop_assert_eq!(&out.events, &diff_drift(&before, &after));
+    prop_assert_eq!(&out.clusters, &after);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Generated sequences of ingests (plain and ELB-only-degraded),
+    /// advancing and no-op expiries and view reads: after every step the
+    /// session's view equals a fresh refinement, and every advance
+    /// reports clusters and drift of fresh before/after refinements.
+    #[test]
+    fn the_view_never_diverges_from_a_fresh_refinement(
+        ops in proptest::collection::vec(
+            (0u8..5, proptest::collection::vec((0usize..6, 0usize..6), 1..6), 0.0f64..1.0),
+            1..12,
+        ),
+    ) {
+        let net = chain_network(8, 100.0, 10.0);
+        // A tighter ε than `config()`, so ELB-only decisions can merge
+        // flows the exact distance keeps apart.
+        let mut s = IncrementalNeat::new(&net, NeatConfig { epsilon: 250.0, ..config() });
+        let mut t = 0.0;
+        for (k, (kind, walks, frac)) in ops.iter().enumerate() {
+            let w = s.watermark().unwrap_or(0.0);
+            match kind {
+                0 | 1 => {
+                    // Every walk twice, so each route reaches `min_card`.
+                    let walks: Vec<_> = walks.iter().flat_map(|&w| [w, w]).collect();
+                    let batch = walk_dataset(&net, &walks, t, 100 * k as u64);
+                    t += 1000.0 * (walks.len() as f64 + 1.0);
+                    if *kind == 0 {
+                        s.ingest_with_policy(&batch, ErrorPolicy::Strict).unwrap();
+                    } else if let Some(degraded) = ingest_elb_only(&mut s, &batch) {
+                        prop_assert_eq!(degraded.is_empty(), s.flow_clusters().is_empty());
+                        prop_assert_eq!(&s.current_clusters().unwrap(), &fresh(&net, &s));
+                        // Drift across the next advance must be diffed
+                        // against the full refinement, not this view.
+                        checked_advance(&net, &mut s, w + 1.0 + frac * (t - w))?;
+                    }
+                }
+                2 => checked_advance(&net, &mut s, w + 1.0 + frac * (t - w).max(0.0))?,
+                3 => {
+                    let stale = s.watermark().map_or(f64::NAN, |w| w - frac * 1000.0);
+                    let (flows, batches) = (s.flow_clusters().to_vec(), s.batches());
+                    let out = s.expire_before(stale).unwrap();
+                    prop_assert!(!out.advanced);
+                    prop_assert!(out.events.is_empty());
+                    prop_assert_eq!(&out.clusters, &fresh(&net, &s));
+                    prop_assert_eq!(s.flow_clusters(), flows.as_slice());
+                    prop_assert_eq!(s.batches(), batches);
+                }
+                _ => prop_assert_eq!(&s.current_clusters().unwrap(), &fresh(&net, &s)),
+            }
+            prop_assert_eq!(&s.current_clusters().unwrap(), &fresh(&net, &s));
+        }
+    }
 
     /// `A` is old traffic, `B` fresh traffic entirely after `w`
     /// (`w` may fall inside `A`, expiring it partially, or past it,
@@ -133,4 +248,33 @@ proptest! {
         prop_assert_eq!(fingerprint(&s), once);
         prop_assert_eq!(s.batches(), ops, "no-op expiry must not consume sequence numbers");
     }
+}
+
+/// Two populations that one ELB-only pair decision merges but the exact
+/// distance keeps apart: the degraded view differs from the full one,
+/// and an expiry of the older population must report it dying (the
+/// full view), not shrinking out of the merged cluster (the degraded
+/// view).
+#[test]
+fn drift_after_a_degraded_ingest_is_diffed_against_the_full_refinement() {
+    let net = chain_network(8, 100.0, 10.0);
+    let cfg = NeatConfig {
+        min_card: 2,
+        epsilon: 250.0,
+        ..NeatConfig::default()
+    };
+    let mut s = IncrementalNeat::new(&net, cfg);
+    // Walks 0–1 cover segments 0–1 at t < 1100; walks 2–3 cover
+    // segments 4–5 at t >= 2000.
+    let batch = walk_dataset(&net, &[(0, 1), (0, 1), (4, 1), (4, 1)], 0.0, 0);
+    let degraded = ingest_elb_only(&mut s, &batch).expect("phase 3 degrades");
+    let full = fresh(&net, &s);
+    assert_eq!((degraded.len(), full.len()), (1, 2));
+
+    let out = s.expire_before(1500.0).unwrap();
+    assert!(out.advanced);
+    let after = fresh(&net, &s);
+    assert_eq!(out.events, diff_drift(&full, &after));
+    assert_ne!(out.events, diff_drift(&degraded, &after));
+    assert_eq!(s.current_clusters().unwrap(), after);
 }

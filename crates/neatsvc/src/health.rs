@@ -65,8 +65,8 @@ pub struct Health {
     pub journal_repairs: u64,
     /// Supervised worker restarts performed.
     pub restarts: u64,
-    /// Watermark advances that actually expired or re-refined state
-    /// (one per journaled expiry operation).
+    /// Watermark advances, one per journaled expiry operation (an
+    /// advance counts even when it expired no fragment).
     pub expiries: u64,
     /// T-fragments removed by retention since the service opened.
     pub expired_fragments: u64,

@@ -47,6 +47,7 @@ use crate::snapshot::{QueryView, SnapshotCell};
 use crate::spool;
 use neat_core::checkpoint::{CheckpointError, CheckpointStore};
 use neat_core::incremental::IncrementalNeat;
+use neat_core::{DriftEvent, ExpiryOutcome, NeatError, TrajectoryCluster};
 use neat_durability::codec::{Dec, Enc};
 use neat_durability::fs::{write_atomic, Fs};
 use neat_durability::journal;
@@ -581,55 +582,24 @@ impl<'n, F: Fs + Clone> Service<'n, F> {
         }
 
         // Retention: advance the watermark to `newest observation -
-        // window` and expire out-of-window t-fragments. Mirrors the
-        // batch path — mutate memory first, then journal the expiry
-        // operation; a failed append is the same divergence window and
-        // gets the same emergency-checkpoint repair.
+        // window`. Expiry is reclamation, not correctness: a refinement
+        // error here degrades the service but must not fail the
+        // already-applied batch.
+        let mut clusters = outcome.clusters;
         let mut drift = Vec::new();
-        let mut expiry_clusters = None;
         if let Some(window) = self.cfg.window {
-            let target = batch_max_time - window;
-            if target.is_finite() && self.session.watermark().is_none_or(|w| target > w) {
-                match self.session.expire_before(target) {
-                    Ok(mut exp) if exp.advanced => {
-                        self.health.expiries += 1;
-                        self.health.expired_fragments += exp.expired_fragments as u64;
-                        self.health.drift.absorb(&exp.events);
-                        drift = std::mem::take(&mut exp.events);
-                        expiry_clusters = Some(exp.clusters);
-                        if let Err(e) = self.store.log_expiry(self.session.batches() as u64, target)
-                        {
-                            self.health.journal_repairs += 1;
-                            self.health.last_error = Some(format!(
-                                "expiry journal append failed ({e}); repairing via checkpoint"
-                            ));
-                            self.mark_degraded();
-                            self.checkpoint_now()?;
-                        }
-                    }
-                    Ok(_) => {}
-                    Err(e) => {
-                        // Expiry is reclamation, not correctness: a
-                        // refinement error here degrades the service but
-                        // must not fail the already-applied batch.
-                        self.health.last_error = Some(format!("expiry failed: {e}"));
-                        self.mark_degraded();
-                        degraded = true;
-                    }
+            match self.advance_watermark(batch_max_time - window)? {
+                Ok(Some(exp)) => (clusters, drift) = (exp.clusters, exp.events),
+                Ok(None) => {}
+                Err(e) => {
+                    self.health.last_error = Some(format!("expiry failed: {e}"));
+                    self.mark_degraded();
+                    degraded = true;
                 }
             }
         }
 
-        self.cell.publish(QueryView {
-            epoch: 0, // stamped by the cell
-            batches: self.session.batches(),
-            flows: self.session.flow_clusters().len(),
-            clusters: expiry_clusters.unwrap_or(outcome.clusters),
-            degraded,
-            watermark: self.session.watermark(),
-            live_fragments: self.session.live_fragments(),
-            drift,
-        });
+        self.publish(clusters, degraded, drift);
         self.hooks.at(Edge::Published);
         self.health.applied += 1;
         self.batches_since_ckpt += 1;
@@ -691,45 +661,20 @@ impl<'n, F: Fs + Clone> Service<'n, F> {
             .session
             .oldest_retained_time()
             .is_some_and(|oldest| oldest < target);
-        if !expirable || !target.is_finite() || !self.session.watermark().is_none_or(|w| target > w)
-        {
+        if !expirable {
             return Ok(false);
         }
-        match self.session.expire_before(target) {
-            Ok(mut exp) if exp.advanced => {
-                self.health.expiries += 1;
+        match self.advance_watermark(target)? {
+            Ok(Some(exp)) => {
                 self.health.idle_expiries += 1;
-                self.health.expired_fragments += exp.expired_fragments as u64;
-                self.health.drift.absorb(&exp.events);
-                let drift = std::mem::take(&mut exp.events);
-                // Same divergence window as the batch path: memory is
-                // ahead of the journal until the append lands; repair a
-                // failed append with an emergency checkpoint.
-                if let Err(e) = self.store.log_expiry(self.session.batches() as u64, target) {
-                    self.health.journal_repairs += 1;
-                    self.health.last_error = Some(format!(
-                        "idle expiry journal append failed ({e}); repairing via checkpoint"
-                    ));
-                    self.mark_degraded();
-                    self.checkpoint_now()?;
-                }
-                self.cell.publish(QueryView {
-                    epoch: 0, // stamped by the cell
-                    batches: self.session.batches(),
-                    flows: self.session.flow_clusters().len(),
-                    clusters: exp.clusters,
-                    degraded: false,
-                    watermark: self.session.watermark(),
-                    live_fragments: self.session.live_fragments(),
-                    drift,
-                });
+                self.publish(exp.clusters, false, exp.events);
                 self.hooks.at(Edge::Published);
                 // Count toward the checkpoint cadence so a long-idle
                 // stream still snapshots (and compacts) what it expired.
                 self.batches_since_ckpt += 1;
                 Ok(true)
             }
-            Ok(_) => Ok(false),
+            Ok(None) => Ok(false),
             Err(e) => {
                 // Reclamation, not correctness: degrade and keep serving.
                 self.health.last_error = Some(format!("idle expiry failed: {e}"));
@@ -737,6 +682,52 @@ impl<'n, F: Fs + Clone> Service<'n, F> {
                 Ok(false)
             }
         }
+    }
+
+    /// The one watermark advance (batch tick, idle tick, recovery):
+    /// expires state before a finite `target` ahead of the watermark,
+    /// accounts it in [`Health`] and journals it. Like the batch path it
+    /// mutates memory first, so a failed append gets the same
+    /// emergency-checkpoint repair, whose failure is the outer error.
+    /// A refinement error is the inner one, left to the caller's policy.
+    fn advance_watermark(
+        &mut self,
+        target: f64,
+    ) -> Result<Result<Option<ExpiryOutcome>, NeatError>, SvcError> {
+        if !target.is_finite() || self.session.watermark().is_some_and(|w| target <= w) {
+            return Ok(Ok(None));
+        }
+        let exp = match self.session.expire_before(target) {
+            Ok(exp) if exp.advanced => exp,
+            Ok(_) => return Ok(Ok(None)),
+            Err(e) => return Ok(Err(e)),
+        };
+        self.health.expiries += 1;
+        self.health.expired_fragments += exp.expired_fragments as u64;
+        self.health.drift.absorb(&exp.events);
+        if let Err(e) = self.store.log_expiry(self.session.batches() as u64, target) {
+            self.health.journal_repairs += 1;
+            self.health.last_error = Some(format!(
+                "expiry journal append failed ({e}); repairing via checkpoint"
+            ));
+            self.mark_degraded();
+            self.checkpoint_now()?;
+        }
+        Ok(Ok(Some(exp)))
+    }
+
+    /// Swaps in a new query view of the session with `clusters`.
+    fn publish(&self, clusters: Vec<TrajectoryCluster>, degraded: bool, drift: Vec<DriftEvent>) {
+        self.cell.publish(QueryView {
+            epoch: 0, // stamped by the cell
+            batches: self.session.batches(),
+            flows: self.session.flow_clusters().len(),
+            clusters,
+            degraded,
+            watermark: self.session.watermark(),
+            live_fragments: self.session.live_fragments(),
+            drift,
+        });
     }
 
     /// Builds the per-batch [`Control`] from the configured budget,
@@ -1014,26 +1005,8 @@ impl<'n, F: Fs + Clone> Service<'n, F> {
                 .map(|m| m.max_time)
                 .filter(|t| t.is_finite())
                 .fold(f64::NEG_INFINITY, f64::max);
-            let target = max_observed - window;
-            if target.is_finite() && self.session.watermark().is_none_or(|w| target > w) {
-                let exp = self
-                    .session
-                    .expire_before(target)
-                    .map_err(|e| SvcError::Pipeline(format!("recovery expiry: {e}")))?;
-                if exp.advanced {
-                    self.health.expiries += 1;
-                    self.health.expired_fragments += exp.expired_fragments as u64;
-                    self.health.drift.absorb(&exp.events);
-                    if let Err(e) = self.store.log_expiry(self.session.batches() as u64, target) {
-                        self.health.journal_repairs += 1;
-                        self.health.last_error = Some(format!(
-                            "recovery expiry journal append failed ({e}); repairing via checkpoint"
-                        ));
-                        self.mark_degraded();
-                        self.checkpoint_now()?;
-                    }
-                }
-            }
+            self.advance_watermark(max_observed - window)?
+                .map_err(|e| SvcError::Pipeline(format!("recovery expiry: {e}")))?;
         }
         // Resume replays the journal, so memory and disk agree again.
         self.batches_since_ckpt = 0;
@@ -1048,16 +1021,7 @@ impl<'n, F: Fs + Clone> Service<'n, F> {
             .session
             .current_clusters()
             .map_err(|e| SvcError::Pipeline(format!("rebuild query view: {e}")))?;
-        self.cell.publish(QueryView {
-            epoch: 0, // stamped by the cell
-            batches: self.session.batches(),
-            flows: self.session.flow_clusters().len(),
-            clusters,
-            degraded: false,
-            watermark: self.session.watermark(),
-            live_fragments: self.session.live_fragments(),
-            drift: Vec::new(),
-        });
+        self.publish(clusters, false, Vec::new());
         self.hooks.at(Edge::Recovered);
         Ok(())
     }
