@@ -1,8 +1,13 @@
 //! Deterministic parallel execution for the NEAT pipeline.
 //!
-//! The clustering phases are sequential loops over independent work
-//! items (trajectories, candidate merges, flow pairs) punctuated by
-//! cooperative [`Control`] check points. Naive parallelism breaks two
+//! The crate has one fan-out, [`Executor::try_map_ctl`], and one user:
+//! phase 1, whose fixed chunks of trajectories are independent work
+//! items punctuated by cooperative [`Control`] check points. Phases 2
+//! and 3 run on the calling thread — in the default configuration their
+//! work units (a junction's handful of f-neighbours, a few geometry
+//! operations per flow pair) are too small for a fan-out to pay; the
+//! phase-3 ablations without endpoint tables give up their speedup.
+//! Naive parallelism breaks two
 //! guarantees the repo holds sacred: the *result* must be bit-identical
 //! to the sequential run for any thread count, and a budget or fused
 //! cancellation must interrupt at exactly the op index it would have
@@ -117,7 +122,7 @@ impl Executor {
     }
 
     /// True when `n` items would actually fan out across workers.
-    pub fn is_parallel_for(&self, n: usize) -> bool {
+    fn is_parallel_for(&self, n: usize) -> bool {
         self.threads > 1 && n >= 2 * self.threads
     }
 
@@ -255,72 +260,6 @@ impl Executor {
             halted,
             partial,
         }
-    }
-
-    /// Maps `f` over `0..n` with no control: every item runs, results
-    /// come back in item order. Parallel for large-enough `n`,
-    /// otherwise a plain loop.
-    pub fn map_ctx<C, T, F>(&self, n: usize, mut make_ctx: impl FnMut() -> C, f: F) -> Vec<T>
-    where
-        C: Send,
-        T: Send,
-        F: Fn(usize, &mut C) -> T + Sync,
-    {
-        if !self.is_parallel_for(n) {
-            let mut ctx = make_ctx();
-            return (0..n).map(|i| f(i, &mut ctx)).collect();
-        }
-        let threads = self.threads;
-        let chunk = self.chunk;
-        let worker_ctxs: Vec<C> = (0..threads).map(|_| make_ctx()).collect();
-        let counter = AtomicUsize::new(0);
-        let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-
-        let gathered = crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = worker_ctxs
-                .into_iter()
-                .map(|mut ctx| {
-                    let (counter, f) = (&counter, &f);
-                    s.spawn(move |_| {
-                        let mut local = Vec::new();
-                        // Claim `chunk` items per atomic bump: uncontrolled
-                        // maps have no round barrier, so larger claims cost
-                        // nothing in discarded work.
-                        loop {
-                            let start = counter.fetch_add(chunk, Ordering::SeqCst);
-                            if start >= n {
-                                break;
-                            }
-                            for i in start..(start + chunk).min(n) {
-                                local.push((i, f(i, &mut ctx)));
-                            }
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| {
-                    // lint:allow(L1) reason=join only fails when the worker panicked, which the panic-free library contract already forbids
-                    h.join().expect("executor worker panicked")
-                })
-                .collect::<Vec<_>>()
-        });
-        // lint:allow(L1) reason=scope only fails when a worker panicked, which the panic-free library contract already forbids
-        for (i, v) in gathered.expect("executor worker panicked") {
-            out[i] = Some(v);
-        }
-        out.into_iter().flatten().collect()
-    }
-
-    /// Context-free convenience wrapper over [`Executor::map_ctx`].
-    pub fn map<T, F>(&self, n: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        self.map_ctx(n, || (), |i, ()| f(i))
     }
 }
 
@@ -525,29 +464,6 @@ mod tests {
             },
         );
         assert_eq!(r.items, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn map_preserves_order_under_parallelism() {
-        let exec = Executor::new(4).with_chunk(3);
-        let out = exec.map(1_000, |i| i * i);
-        assert_eq!(out, (0..1_000).map(|i| i * i).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn map_ctx_hands_each_worker_its_own_context() {
-        let exec = Executor::new(4);
-        // Contexts are private per worker, so unsynchronised mutation
-        // is safe and every item comes back in order.
-        let out = exec.map_ctx(
-            500,
-            || 0usize,
-            |i, seen| {
-                *seen += 1;
-                i + *seen - *seen
-            },
-        );
-        assert_eq!(out, (0..500).collect::<Vec<_>>());
     }
 
     #[test]

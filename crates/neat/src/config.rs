@@ -172,11 +172,10 @@ pub struct NeatConfig {
     /// on different segments (including shortest-path gap repair for
     /// non-contiguous segments). Disable only for pre-fragmented input.
     pub insert_junctions: bool,
-    /// Worker threads for the parallel phases (Phase-1 fragment
-    /// extraction, Phase-2 candidate scoring, Phase-3 neighbourhood
-    /// scans); `0` and `1` both mean sequential. Every parallel path is
-    /// bit-identical to the sequential one, for any thread count, even
-    /// under budget or cancellation interrupts.
+    /// Worker threads for Phase-1 fragment extraction; `0` and `1` both
+    /// mean sequential. Phases 2 and 3 always run on the calling thread.
+    /// The parallel path is bit-identical to the sequential one, for any
+    /// thread count, even under budget or cancellation interrupts.
     pub threads: usize,
     /// Number of ALT landmarks for the Phase-3 lower bound (0 disables).
     /// Landmark bounds are layered on top of the Euclidean lower bound

@@ -44,7 +44,6 @@
 
 pub mod analysis;
 pub mod checkpoint;
-pub mod concache;
 pub mod config;
 pub mod control;
 pub mod error;

@@ -14,7 +14,6 @@ use crate::config::NeatConfig;
 use crate::control::PhaseStatus;
 use crate::error::NeatError;
 use crate::model::{BaseCluster, FlowCluster};
-use neat_exec::Executor;
 use neat_rnet::{RoadNetwork, SegmentId};
 use neat_runctl::{Control, Interrupt};
 
@@ -174,10 +173,6 @@ pub(crate) fn form_flow_clusters_inner(
     }
 
     let total = pool.len();
-    // Candidate scoring inside `expand_end` is a pure read of the pool, so
-    // it can fan out across threads; the argmax itself is folded in
-    // neighbourhood order and stays bit-identical to a sequential scan.
-    let exec = Executor::new(config.threads);
     let mut flows = Vec::new();
     let mut discarded = 0usize;
     let mut status = PhaseStatus::Complete;
@@ -215,7 +210,6 @@ pub(crate) fn form_flow_clusters_inner(
             flow_idx,
             trace,
             ctl,
-            &exec,
         )?;
         if stopped.is_none() {
             stopped = expand_end(
@@ -228,7 +222,6 @@ pub(crate) fn form_flow_clusters_inner(
                 flow_idx,
                 trace,
                 ctl,
-                &exec,
             )?;
         }
         // An interrupt mid-expansion leaves the flow a valid (shorter)
@@ -291,7 +284,6 @@ fn expand_end(
     flow_idx: usize,
     trace: &mut Option<Vec<MergeEvent>>,
     ctl: Option<&Control>,
-    exec: &Executor,
 ) -> Result<Option<Interrupt>, NeatError> {
     loop {
         // One cancel point per merge iteration.
@@ -401,35 +393,24 @@ fn expand_end(
             .sum();
         let card_s = end_cluster.trajectory_cardinality() as f64;
 
-        // Score every candidate — a pure read of the pool, so the scores
-        // can be computed in parallel — then pick the winner by a
-        // neighbourhood-order fold, preserving the exact sequential
-        // tie-breaks: selectivity, then netflow with the whole flow, then
-        // segment id.
-        let pool_ref: &[Option<BaseCluster>] = pool;
-        let flow_ref: &FlowCluster = flow;
-        let scored: Vec<(f64, usize)> = exec.map(neigh.len(), |x| {
-            let cand = pool_ref[neigh[x]].as_ref().expect("present"); // lint:allow(L1) reason=neigh indices were filtered to populated slots
+        // Score every candidate and pick the winner in neighbourhood
+        // order, with the exact tie-breaks: selectivity, then netflow with
+        // the whole flow, then segment id.
+        let mut best: Option<(usize, f64, usize)> = None; // (idx, sf, f(F,S))
+        for &i in &neigh {
+            let cand = pool[i].as_ref().expect("present"); // lint:allow(L1) reason=neigh indices were filtered to populated slots
             let q = end_cluster.netflow(cand) as f64 / card_s.max(1.0);
             let k = cand.density() as f64 / (d_s + sum_d);
             let v = segment_speed(net, cand) / sum_v.max(f64::MIN_POSITIVE);
-            (
-                config.weights.selectivity(q, k, v),
-                flow_ref.netflow_with(cand),
-            )
-        });
-        let mut best: Option<(usize, f64, usize)> = None; // (idx, sf, f(F,S))
-        for (x, &i) in neigh.iter().enumerate() {
-            let (sf, f_flow) = scored[x];
+            let sf = config.weights.selectivity(q, k, v);
+            let f_flow = flow.netflow_with(cand);
             let better = match &best {
                 None => true,
                 Some((bi, bsf, bf)) => {
+                    let best_segment = pool[*bi].as_ref().expect("present").segment(); // lint:allow(L1) reason=neigh indices were filtered to populated slots
                     sf > *bsf + 1e-12
                         || ((sf - *bsf).abs() <= 1e-12
-                            && (f_flow > *bf
-                                || (f_flow == *bf
-                                    && pool[i].as_ref().expect("present").segment() // lint:allow(L1) reason=neigh indices were filtered to populated slots
-                                        < pool[*bi].as_ref().expect("present").segment())))
+                            && (f_flow > *bf || (f_flow == *bf && cand.segment() < best_segment)))
                 }
             };
             if better {

@@ -14,7 +14,7 @@
 //!   Euclidean distance between the endpoint sets exceeds ε, the network
 //!   distance must too (Section III-C3).
 //!
-//! On top of the paper's design this implementation layers three
+//! On top of the paper's design this implementation layers two
 //! output-preserving optimisations:
 //!
 //! * **ALT landmark bounds** ([`AltLandmarks`]): the pre-filter becomes
@@ -26,26 +26,26 @@
 //!   scanned endpoint and answers every candidate pair from the resulting
 //!   tables. A node absent from a table is provably farther than ε, so
 //!   the decisions equal the per-pair bounded searches they replace.
-//! * **Deterministic parallel scans** ([`Executor`]): candidate pairs of
-//!   one neighbourhood scan are independent, so they fan out across
-//!   `config.threads` workers. Results and statistics are folded in index
-//!   order, and under a [`Control`] the executor's speculative-charging
-//!   protocol lands interrupts at the exact op index the sequential loop
-//!   would — the clustering output is bit-identical for any thread count.
+//!
+//! Every neighbourhood scan runs on the calling thread, one cancel point
+//! per candidate pair, whatever `config.threads` says. In the default
+//! table mode a candidate costs a few geometry operations, too little
+//! for a thread fan-out to pay. The table-less ablations (full routes,
+//! pairwise searches, Dijkstra) run bounded searches per pair and scan
+//! slower than a fan-out would; DESIGN §12 has the measurement. The
+//! output and the op index of any interrupt cannot depend on the thread
+//! count.
 
-use crate::concache::ShardedMap;
 use crate::config::{NeatConfig, RouteDistance, SpStrategy};
 use crate::control::PhaseStatus;
 use crate::error::NeatError;
 use crate::model::{FlowCluster, TrajectoryCluster};
-use neat_exec::Executor;
 use neat_rnet::alt::AltLandmarks;
 use neat_rnet::path::{NodeDistances, TravelMode};
 use neat_rnet::{NodeId, RoadNetwork, ShortestPathEngine};
 use neat_runctl::{Control, Interrupt, OverrunMode};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
-use std::sync::Arc;
+use std::collections::{HashMap, VecDeque};
 
 /// Instrumentation counters for the Figure-7 ablation (ELB vs Dijkstra).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -61,8 +61,8 @@ pub struct Phase3Stats {
     /// Individual point-to-point shortest-path computations performed
     /// (up to four per surviving pair, minus cache hits).
     pub sp_computations: u64,
-    /// Node-pair distance lookups answered by a memo table — the
-    /// sharded pair cache or a one-to-many endpoint table.
+    /// Node-pair distance lookups answered by a memo table — the pair
+    /// memo or a one-to-many endpoint table.
     pub sp_cache_hits: u64,
     /// Bounded one-to-many Dijkstra expansions run to build endpoint
     /// distance tables (each replaces up to `4 × candidates` bounded
@@ -71,8 +71,8 @@ pub struct Phase3Stats {
 }
 
 impl Phase3Stats {
-    /// Folds `other` into `self` (per-item deltas are accumulated in
-    /// item order by the scan loops).
+    /// Folds `other` into `self`, e.g. the stats of successive
+    /// refinements.
     pub fn absorb(&mut self, other: &Phase3Stats) {
         self.pairs_considered += other.pairs_considered;
         self.elb_skips += other.elb_skips;
@@ -92,13 +92,6 @@ pub struct Phase3Output {
     pub stats: Phase3Stats,
 }
 
-/// Packs a symmetric node pair into one cache key (smaller index in the
-/// high half, so `(a, b)` and `(b, a)` collide by construction).
-fn pair_key(lo: NodeId, hi: NodeId) -> u64 {
-    debug_assert!(lo <= hi);
-    ((lo.index() as u64) << 32) | (hi.index() as u64)
-}
-
 /// The two point sets a flow-pair distance compares under `points`.
 fn point_sets(
     fi: &FlowCluster,
@@ -115,33 +108,35 @@ fn point_sets(
     }
 }
 
-/// Network-distance oracle: sharded symmetric-pair memo, optional ALT
-/// landmark tables and optional per-endpoint one-to-many tables.
-///
-/// The oracle itself is shared (`&self`) across scan workers; mutable
-/// scratch state — the shortest-path engine and the statistics deltas —
-/// is supplied per call so each worker owns its own.
+/// Network-distance oracle of one refinement: the flow list, a
+/// symmetric node-pair memo, optional ALT landmark tables and optional
+/// per-endpoint one-to-many tables. Everything is owned by the calling
+/// thread; the memos are only ever looked up by key, never iterated.
 struct DistanceOracle<'a> {
     net: &'a RoadNetwork,
+    flows: &'a [FlowCluster],
+    engine: ShortestPathEngine,
     strategy: SpStrategy,
+    points: RouteDistance,
     epsilon: f64,
     use_elb: bool,
-    /// Symmetric `(NodeId, NodeId) → Option<distance>` memo. Values are
-    /// computed under the shard lock, so concurrent scans compute each
-    /// pair exactly once and `sp_computations` stays exact.
-    pair_cache: ShardedMap<Option<f64>>,
+    /// Whether exact decisions come from endpoint tables instead of
+    /// per-pair searches.
+    use_tables: bool,
+    /// Symmetric `(lo, hi) → Option<distance>` memo.
+    pair_cache: HashMap<(NodeId, NodeId), Option<f64>>,
     /// `NodeId → bounded one-to-many table`, reused across scans that
     /// share an endpoint.
-    tables: ShardedMap<Arc<NodeDistances>>,
+    tables: HashMap<NodeId, NodeDistances>,
     /// Landmark tables for the ALT lower bound (`None` when disabled).
     alt: Option<AltLandmarks>,
 }
 
 /// The one-to-many tables of one scanned flow's two endpoints.
-struct EndpointTables {
+struct EndpointTables<'t> {
     ends: (NodeId, NodeId),
-    t1: Arc<NodeDistances>,
-    t2: Arc<NodeDistances>,
+    t1: &'t NodeDistances,
+    t2: &'t NodeDistances,
 }
 
 impl<'a> DistanceOracle<'a> {
@@ -150,10 +145,10 @@ impl<'a> DistanceOracle<'a> {
     /// Phase 3 only needs to decide `d_N ≤ ε`, so the A* strategy bounds
     /// its search at ε and returns `None` for anything farther (or
     /// unreachable); the Dijkstra strategy reproduces the paper's
-    /// unbounded network-expansion baseline.
+    /// unbounded network-expansion baseline. An interrupted search
+    /// memoises nothing.
     fn network_distance(
-        &self,
-        engine: &mut ShortestPathEngine,
+        &mut self,
         a: NodeId,
         b: NodeId,
         ctl: Option<&Control>,
@@ -162,27 +157,27 @@ impl<'a> DistanceOracle<'a> {
         if a == b {
             return Ok(Some(0.0));
         }
-        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-        let (d, fresh) = self
-            .pair_cache
-            .try_get_or_insert_with(pair_key(lo, hi), || match self.strategy {
-                SpStrategy::AStar => engine.distance_bounded_ctl(
-                    self.net,
-                    lo,
-                    hi,
-                    TravelMode::Undirected,
-                    self.epsilon,
-                    ctl,
-                ),
-                // Plain unbounded network expansion: the paper's
-                // opt-NEAT-Dijkstra baseline (Figure 7).
-                SpStrategy::Dijkstra => engine.distance_plain_ctl(self.net, lo, hi, ctl),
-            })?;
-        if fresh {
-            stats.sp_computations += 1;
-        } else {
+        let key = if a <= b { (a, b) } else { (b, a) };
+        if let Some(&d) = self.pair_cache.get(&key) {
             stats.sp_cache_hits += 1;
+            return Ok(d);
         }
+        let (lo, hi) = key;
+        let d = match self.strategy {
+            SpStrategy::AStar => self.engine.distance_bounded_ctl(
+                self.net,
+                lo,
+                hi,
+                TravelMode::Undirected,
+                self.epsilon,
+                ctl,
+            )?,
+            // Plain unbounded network expansion: the paper's
+            // opt-NEAT-Dijkstra baseline (Figure 7).
+            SpStrategy::Dijkstra => self.engine.distance_plain_ctl(self.net, lo, hi, ctl)?,
+        };
+        self.pair_cache.insert(key, d);
+        stats.sp_computations += 1;
         Ok(d)
     }
 
@@ -192,57 +187,45 @@ impl<'a> DistanceOracle<'a> {
     /// ([`RouteDistance::FullRoute`]). `None` when some required distance
     /// exceeds ε (A* strategy) or is unreachable.
     fn flow_distance(
-        &self,
-        engine: &mut ShortestPathEngine,
+        &mut self,
         fi: &FlowCluster,
         fj: &FlowCluster,
-        points: RouteDistance,
         ctl: Option<&Control>,
         stats: &mut Phase3Stats,
     ) -> Result<Option<f64>, Interrupt> {
-        let (xs, ys) = point_sets(fi, fj, points);
+        let (xs, ys) = point_sets(fi, fj, self.points);
         let mut h = 0.0f64;
-        for &a in &xs {
-            let mut m = f64::INFINITY;
-            for &b in &ys {
-                if let Some(d) = self.network_distance(engine, a, b, ctl, stats)? {
-                    m = m.min(d);
+        for (from, to) in [(&xs, &ys), (&ys, &xs)] {
+            for &a in from {
+                let mut m = f64::INFINITY;
+                for &b in to {
+                    if let Some(d) = self.network_distance(a, b, ctl, stats)? {
+                        m = m.min(d);
+                    }
                 }
-            }
-            if !m.is_finite() {
-                return Ok(None);
-            }
-            h = h.max(m);
-        }
-        for &b in &ys {
-            let mut m = f64::INFINITY;
-            for &a in &xs {
-                if let Some(d) = self.network_distance(engine, b, a, ctl, stats)? {
-                    m = m.min(d);
+                if !m.is_finite() {
+                    return Ok(None);
                 }
+                h = h.max(m);
             }
-            if !m.is_finite() {
-                return Ok(None);
-            }
-            h = h.max(m);
         }
         Ok(Some(h))
     }
 
-    /// Minimum Euclidean distance between the compared point sets — the
-    /// ELB pre-filter of Section III-C3. The point sets must match the
-    /// route-distance setting: when every cross Euclidean distance
-    /// exceeds ε, every network distance does too, so every `min` term of
-    /// the Hausdorff (and hence the Hausdorff itself) exceeds ε.
-    fn min_euclidean(&self, fi: &FlowCluster, fj: &FlowCluster, points: RouteDistance) -> f64 {
-        let (xs, ys) = point_sets(fi, fj, points);
+    /// The ELB-only decision of the degraded continuation: `true` when
+    /// the minimum Euclidean distance between the compared point sets is
+    /// within ε (Section III-C3). The point sets match the route-distance
+    /// setting, so when every cross Euclidean distance exceeds ε, every
+    /// network distance does too, and so does the Hausdorff.
+    fn elb_near(&self, fi: &FlowCluster, fj: &FlowCluster) -> bool {
+        let (xs, ys) = point_sets(fi, fj, self.points);
         let mut m = f64::INFINITY;
         for &a in &xs {
             for &b in &ys {
                 m = m.min(self.net.euclidean_distance(a, b));
             }
         }
-        m
+        m <= self.epsilon
     }
 
     /// `true` when the lower-bound pre-filter proves the pair distance
@@ -255,13 +238,12 @@ impl<'a> DistanceOracle<'a> {
         &self,
         fi: &FlowCluster,
         fj: &FlowCluster,
-        points: RouteDistance,
         stats: &mut Phase3Stats,
     ) -> bool {
         if !self.use_elb {
             return false;
         }
-        let (xs, ys) = point_sets(fi, fj, points);
+        let (xs, ys) = point_sets(fi, fj, self.points);
         let mut min_e = f64::INFINITY;
         let mut min_combined = f64::INFINITY;
         for &a in &xs {
@@ -293,9 +275,9 @@ impl<'a> DistanceOracle<'a> {
     /// on large networks is far earlier than the full ε-ball. The set
     /// depends only on `src` and the fixed flow list — never on which
     /// scan requests the table — so cached tables stay coherent.
-    fn table_targets(&self, flows: &[FlowCluster], src: NodeId) -> Vec<NodeId> {
+    fn table_targets(&self, src: NodeId) -> Vec<NodeId> {
         let mut out = Vec::new();
-        for f in flows {
+        for f in self.flows {
             let (b1, b2) = f.endpoints();
             for b in [b1, b2] {
                 let e = self.net.euclidean_distance(src, b);
@@ -313,67 +295,63 @@ impl<'a> DistanceOracle<'a> {
         out
     }
 
-    /// Fetches (building on miss) the bounded one-to-many tables for the
-    /// scanned flow's two endpoints. Table expansions are charged to
-    /// `ctl` one settlement per finalised node, exactly like the
-    /// point-to-point searches they replace.
-    fn endpoint_tables(
-        &self,
-        engine: &mut ShortestPathEngine,
-        flows: &[FlowCluster],
-        cur: usize,
-        ctl: Option<&Control>,
-        stats: &mut Phase3Stats,
-    ) -> Result<EndpointTables, Interrupt> {
-        let (a1, a2) = flows[cur].endpoints();
-        let t1 = self.table_for(engine, flows, a1, ctl, stats)?;
-        let t2 = if a2 == a1 {
-            Arc::clone(&t1)
-        } else {
-            self.table_for(engine, flows, a2, ctl, stats)?
-        };
-        Ok(EndpointTables {
-            ends: (a1, a2),
-            t1,
-            t2,
-        })
-    }
-
-    fn table_for(
-        &self,
-        engine: &mut ShortestPathEngine,
-        flows: &[FlowCluster],
+    /// Builds the bounded one-to-many table from `src` unless it is
+    /// already cached. The expansion is charged to `ctl` one settlement
+    /// per finalised node, exactly like the point-to-point searches it
+    /// replaces.
+    fn build_table(
+        &mut self,
         src: NodeId,
         ctl: Option<&Control>,
         stats: &mut Phase3Stats,
-    ) -> Result<Arc<NodeDistances>, Interrupt> {
-        let (table, fresh) = self.tables.try_get_or_insert_with(src.index() as u64, || {
-            let targets = self.table_targets(flows, src);
-            engine
-                .distances_within_targets_ctl(
-                    self.net,
-                    src,
-                    TravelMode::Undirected,
-                    self.epsilon,
-                    Some(&targets),
-                    ctl,
-                )
-                .map(Arc::new)
-        })?;
-        if fresh {
-            stats.one_to_many_scans += 1;
+    ) -> Result<(), Interrupt> {
+        if self.tables.contains_key(&src) {
+            return Ok(());
         }
-        Ok(table)
+        let targets = self.table_targets(src);
+        let table = self.engine.distances_within_targets_ctl(
+            self.net,
+            src,
+            TravelMode::Undirected,
+            self.epsilon,
+            Some(&targets),
+            ctl,
+        )?;
+        self.tables.insert(src, table);
+        stats.one_to_many_scans += 1;
+        Ok(())
     }
 
-    /// Endpoint-pair Hausdorff decision (`d ≤ ε`) answered entirely from
-    /// the scanned flow's one-to-many tables. A node absent from a table
-    /// is strictly farther than ε from its source: either its lower
-    /// bound already proved `d > ε` (so it was never a table target) or
-    /// the target-pruned expansion ran the full ε-ball. Either way the
-    /// decision is identical to the bounded point-to-point searches of
-    /// [`DistanceOracle::flow_distance`].
-    fn table_near(&self, tabs: &EndpointTables, fj: &FlowCluster, stats: &mut Phase3Stats) -> bool {
+    /// The tables of flow `cur`'s two endpoints, building the missing
+    /// ones.
+    fn endpoint_tables(
+        &mut self,
+        cur: usize,
+        ctl: Option<&Control>,
+        stats: &mut Phase3Stats,
+    ) -> Result<EndpointTables<'_>, Interrupt> {
+        let (a1, a2) = self.flows[cur].endpoints();
+        self.build_table(a1, ctl, stats)?;
+        self.build_table(a2, ctl, stats)?;
+        // lint:allow(L1) reason=both tables were inserted by the build_table calls just above
+        let table = |n| self.tables.get(&n).expect("endpoint table built above");
+        Ok(EndpointTables {
+            ends: (a1, a2),
+            t1: table(a1),
+            t2: table(a2),
+        })
+    }
+}
+
+impl EndpointTables<'_> {
+    /// Endpoint-pair Hausdorff decision (`d ≤ epsilon`) answered entirely
+    /// from the scanned flow's one-to-many tables. A node absent from a
+    /// table is strictly farther than ε from its source: either its
+    /// lower bound already proved `d > ε` (so it was never a table
+    /// target) or the target-pruned expansion ran the full ε-ball.
+    /// Either way the decision is identical to the bounded
+    /// point-to-point searches of [`DistanceOracle::flow_distance`].
+    fn near(&self, fj: &FlowCluster, epsilon: f64, stats: &mut Phase3Stats) -> bool {
         let (b1, b2) = fj.endpoints();
         let mut look = |t: &NodeDistances, a: NodeId, b: NodeId| -> Option<f64> {
             if a == b {
@@ -382,10 +360,10 @@ impl<'a> DistanceOracle<'a> {
             stats.sp_cache_hits += 1;
             t.get(b)
         };
-        let d11 = look(&tabs.t1, tabs.ends.0, b1);
-        let d12 = look(&tabs.t1, tabs.ends.0, b2);
-        let d21 = look(&tabs.t2, tabs.ends.1, b1);
-        let d22 = look(&tabs.t2, tabs.ends.1, b2);
+        let d11 = look(self.t1, self.ends.0, b1);
+        let d12 = look(self.t1, self.ends.0, b2);
+        let d21 = look(self.t2, self.ends.1, b1);
+        let d22 = look(self.t2, self.ends.1, b2);
         let min2 = |x: Option<f64>, y: Option<f64>| match (x, y) {
             (Some(p), Some(q)) => Some(p.min(q)),
             (Some(p), None) | (None, Some(p)) => Some(p),
@@ -407,7 +385,7 @@ impl<'a> DistanceOracle<'a> {
                 None => return false,
             }
         }
-        h <= self.epsilon
+        h <= epsilon
     }
 }
 
@@ -441,80 +419,68 @@ pub struct ControlledRefinement {
     pub elb_only: bool,
 }
 
-/// `true` when interrupt `why` should switch the phase to the ELB-only
-/// continuation rather than stop it: budget-style interrupts under
-/// [`OverrunMode::Degrade`], and only if not already degraded.
-fn should_degrade(why: Interrupt, ctl: &Control, already_degraded: bool) -> bool {
-    !already_degraded && !why.is_cancellation() && ctl.overrun() == OverrunMode::Degrade
+/// Switches the phase to the ELB-only continuation when `why` is a
+/// budget-style interrupt under [`OverrunMode::Degrade`] and the phase is
+/// not degraded yet; otherwise hands `why` back as the stop.
+fn degrade(
+    why: Interrupt,
+    ctl: Option<&Control>,
+    degraded: &mut Option<Interrupt>,
+) -> Result<(), Interrupt> {
+    match ctl {
+        Some(c)
+            if degraded.is_none()
+                && !why.is_cancellation()
+                && c.overrun() == OverrunMode::Degrade =>
+        {
+            *degraded = Some(why);
+            c.degrade(DEGRADE_NOTE);
+            Ok(())
+        }
+        _ => Err(why),
+    }
 }
 
 /// Degradation note recorded when exact distances are abandoned.
 const DEGRADE_NOTE: &str = "phase3: exact network distances -> ELB-only";
 
-/// Decides candidate pairs with the Euclidean lower bound alone — the
-/// degraded continuation. `skip_first_poll` is set when the interrupt
-/// that triggered degradation already consumed the current pair's cancel
-/// point.
+/// One ε-neighbourhood scan of flow `cur` over the unlabelled `cands`,
+/// in index order; `join` receives every flow found near, in discovery
+/// order.
+///
+/// Each candidate costs exactly one poll — [`Control::check`], or
+/// [`Control::check_cancel`] once degraded — and is then decided by the
+/// ELB-only rule when degraded, else by the ELB/ALT bound filter and
+/// then either the endpoint tables (table mode) or
+/// [`DistanceOracle::flow_distance`]. Table-mode survivors wait for the
+/// tables, which build after the loop and only when survivors exist: a
+/// scan whose candidates are all bound-filtered never pays for an
+/// expansion, which is where the ALT skips turn into saved Dijkstras.
+///
+/// A budget interrupt under [`OverrunMode::Degrade`] switches the rest
+/// of the scan to ELB-only. The survivors found so far join first: with
+/// the ELB filter on they passed the lower bound, which is exactly the
+/// ELB-only decision. (With `use_elb` off every candidate survives, so
+/// they all join — a quirk kept as recorded.)
 ///
 /// # Errors
 ///
-/// Returns the interrupt on cancellation (the only poll left here).
-#[allow(clippy::too_many_arguments)]
-fn scan_elb_only(
-    oracle: &DistanceOracle,
-    flows: &[FlowCluster],
+/// Returns the interrupt that stops refinement outright; table-mode
+/// survivors not yet decided are then dropped.
+fn scan(
+    oracle: &mut DistanceOracle,
     cur: usize,
     cands: &[usize],
-    config: &NeatConfig,
-    ctl: Option<&Control>,
-    skip_first_poll: bool,
-    stats: &mut Phase3Stats,
-    label: &mut [Option<usize>],
-    queue: &mut VecDeque<usize>,
-    gid: usize,
-) -> Result<(), Interrupt> {
-    for (k, &other) in cands.iter().enumerate() {
-        if !(skip_first_poll && k == 0) {
-            if let Some(c) = ctl {
-                c.check_cancel()?;
-            }
-        }
-        stats.pairs_considered += 1;
-        if oracle.min_euclidean(&flows[cur], &flows[other], config.route_distance) <= config.epsilon
-        {
-            label[other] = Some(gid);
-            queue.push_back(other);
-        }
-    }
-    Ok(())
-}
-
-/// One sequential exhaustive neighbourhood scan for the configurations
-/// whose per-pair shortest-path work is charged to `ctl` as it happens
-/// (full-route distances and the Dijkstra ablation). May flip the phase
-/// into the degraded continuation mid-scan.
-///
-/// # Errors
-///
-/// Returns the interrupt that stops refinement outright.
-#[allow(clippy::too_many_arguments)]
-fn scan_exact_sequential(
-    oracle: &DistanceOracle,
-    engine: &mut ShortestPathEngine,
-    flows: &[FlowCluster],
-    cur: usize,
-    cands: &[usize],
-    config: &NeatConfig,
     ctl: Option<&Control>,
     stats: &mut Phase3Stats,
     degraded: &mut Option<Interrupt>,
-    label: &mut [Option<usize>],
-    queue: &mut VecDeque<usize>,
-    gid: usize,
+    mut join: impl FnMut(usize),
 ) -> Result<(), Interrupt> {
+    let flows = oracle.flows;
+    let fi = &flows[cur];
+    let mut survivors: Vec<usize> = Vec::new();
     for &other in cands {
-        // One cancel point per candidate pair. Once degraded the budget
-        // is knowingly spent, so only cancellation polls.
+        let fj = &flows[other];
         if let Some(c) = ctl {
             let verdict = if degraded.is_some() {
                 c.check_cancel()
@@ -522,54 +488,51 @@ fn scan_exact_sequential(
                 c.check()
             };
             if let Err(why) = verdict {
-                if should_degrade(why, c, degraded.is_some()) {
-                    *degraded = Some(why);
-                    c.degrade(DEGRADE_NOTE);
-                } else {
-                    return Err(why);
-                }
+                degrade(why, ctl, degraded)?;
+                survivors.drain(..).for_each(&mut join);
             }
         }
         stats.pairs_considered += 1;
         let near = if degraded.is_some() {
-            // ELB-only continuation: the Euclidean lower bound is the
-            // distance — no further shortest paths.
-            oracle.min_euclidean(&flows[cur], &flows[other], config.route_distance)
-                <= config.epsilon
-        } else if oracle.bound_filters_out(&flows[cur], &flows[other], config.route_distance, stats)
-        {
+            oracle.elb_near(fi, fj)
+        } else if oracle.bound_filters_out(fi, fj, stats) {
+            false
+        } else if oracle.use_tables {
+            survivors.push(other);
             false
         } else {
-            match oracle.flow_distance(
-                engine,
-                &flows[cur],
-                &flows[other],
-                config.route_distance,
-                ctl,
-                stats,
-            ) {
-                Ok(Some(d)) => d <= config.epsilon,
-                Ok(None) => false,
+            match oracle.flow_distance(fi, fj, ctl, stats) {
+                Ok(d) => d.is_some_and(|d| d <= oracle.epsilon),
+                // A shortest path hit the budget mid-pair: the lower
+                // bound decides this pair.
                 Err(why) => {
-                    // A shortest path hit the budget mid-pair. `ctl` must
-                    // be Some for an interrupt to surface; fall back to a
-                    // stop if not.
-                    match ctl {
-                        Some(c) if should_degrade(why, c, false) => {
-                            *degraded = Some(why);
-                            c.degrade(DEGRADE_NOTE);
-                            // Decide this pair by the lower bound.
-                            oracle.min_euclidean(&flows[cur], &flows[other], config.route_distance)
-                                <= config.epsilon
-                        }
-                        _ => return Err(why),
-                    }
+                    degrade(why, ctl, degraded)?;
+                    oracle.elb_near(fi, fj)
                 }
             }
         };
         if near {
-            label[other] = Some(gid);
-            queue.push_back(other);
+            join(other);
+        }
+    }
+    if survivors.is_empty() {
+        return Ok(());
+    }
+    let epsilon = oracle.epsilon;
+    match oracle.endpoint_tables(cur, ctl, stats) {
+        Ok(tabs) => {
+            // Exact decisions from table lookups: no cancel points left.
+            for k in survivors {
+                if tabs.near(&flows[k], epsilon, stats) {
+                    join(k);
+                }
+            }
+        }
+        // An expansion hit the budget. Every pair of this scan is
+        // already bound-decided; the survivors join under ELB-only.
+        Err(why) => {
+            degrade(why, ctl, degraded)?;
+            survivors.into_iter().for_each(join);
         }
     }
     Ok(())
@@ -591,8 +554,8 @@ fn scan_exact_sequential(
 ///    are emitted as singleton clusters so the output stays a valid
 ///    partition of the input.
 ///
-/// `ctl == None` is a free run: it never stops early and may fan its
-/// exact scan out over uncontrolled workers.
+/// `ctl == None` is a free run: it never stops early. The phase runs on
+/// the calling thread whatever `config.threads` says.
 ///
 /// # Errors
 ///
@@ -648,12 +611,8 @@ pub fn refine_flow_clusters_ctl(
         ) {
             Ok(a) => Some(a),
             Err(why) => {
-                match ctl {
-                    Some(c) if should_degrade(why, c, false) => {
-                        degraded = Some(why);
-                        c.degrade(DEGRADE_NOTE);
-                    }
-                    _ => stopped = Some(why),
+                if let Err(why) = degrade(why, ctl, &mut degraded) {
+                    stopped = Some(why);
                 }
                 None
             }
@@ -662,21 +621,24 @@ pub fn refine_flow_clusters_ctl(
         None
     };
 
-    // Endpoint tables replace bounded point-to-point searches only where
-    // both are defined: endpoint distances under the bounded strategy.
-    let use_tables = config.endpoint_tables
-        && config.route_distance == RouteDistance::Endpoints
-        && config.sp_strategy == SpStrategy::AStar;
-    let oracle = DistanceOracle {
+    let mut oracle = DistanceOracle {
         net,
+        flows: &flows,
+        engine,
         strategy: config.sp_strategy,
+        points: config.route_distance,
         epsilon: config.epsilon,
         use_elb: config.use_elb,
-        pair_cache: ShardedMap::new(),
-        tables: ShardedMap::new(),
+        // Endpoint tables replace bounded point-to-point searches only
+        // where both are defined: endpoint distances under the bounded
+        // strategy.
+        use_tables: config.endpoint_tables
+            && config.route_distance == RouteDistance::Endpoints
+            && config.sp_strategy == SpStrategy::AStar,
+        pair_cache: HashMap::new(),
+        tables: HashMap::new(),
         alt,
     };
-    let exec = Executor::new(config.threads);
 
     let mut label: Vec<Option<usize>> = vec![None; n];
     let mut groups: Vec<Vec<usize>> = Vec::new();
@@ -701,211 +663,30 @@ pub fn refine_flow_clusters_ctl(
                 if cands.is_empty() {
                     continue;
                 }
-
-                let scan: Result<(), Interrupt> = if degraded.is_some() {
-                    scan_elb_only(
-                        &oracle, &flows, cur, &cands, config, ctl, false, &mut stats, &mut label,
-                        &mut queue, gid,
-                    )
-                } else if use_tables {
-                    // Pass 1 — bound filter (ELB + ALT): pure geometry,
-                    // exactly one op per pair, parallelised by the
-                    // deterministic executor (results and charges fold
-                    // in index order, so interrupts land at the
-                    // sequential op index). The tables build *after*
-                    // the filter: a scan whose candidates are all
-                    // bound-filtered never pays for an expansion, which
-                    // is where the ALT skips turn into saved Dijkstras.
-                    let filter = |k: usize, ds: &mut Phase3Stats| {
-                        ds.pairs_considered = 1;
-                        !oracle.bound_filters_out(
-                            &flows[cur],
-                            &flows[cands[k]],
-                            config.route_distance,
-                            ds,
-                        )
-                    };
-                    // Free runs keep the uncontrolled `map`: an unlimited
-                    // control through `try_map_ctl` decides the same, but
-                    // its speculative rounds raised batch peak RSS by
-                    // 5–8% on the `layers` batch workloads (per-thread
-                    // allocator arenas), with no latency change.
-                    let (kept, halted) = match ctl {
-                        Some(c) => {
-                            let res = exec.try_map_ctl(
-                                cands.len(),
-                                c,
-                                || (),
-                                |k, (), cc| {
-                                    cc.check()?;
-                                    let mut ds = Phase3Stats::default();
-                                    let keep = filter(k, &mut ds);
-                                    Ok((keep, ds))
-                                },
-                            );
-                            (res.items, res.halted)
-                        }
-                        None => (
-                            exec.map(cands.len(), |k| {
-                                let mut ds = Phase3Stats::default();
-                                (filter(k, &mut ds), ds)
-                            }),
-                            None,
-                        ),
-                    };
-                    let done = kept.len();
-                    let mut survivors: Vec<usize> = Vec::new();
-                    for (k, (keep, ds)) in kept.into_iter().enumerate() {
-                        stats.absorb(&ds);
-                        if keep {
-                            survivors.push(k);
-                        }
-                    }
-                    match halted {
-                        Some(why) => match ctl {
-                            Some(c) if should_degrade(why, c, false) => {
-                                degraded = Some(why);
-                                c.degrade(DEGRADE_NOTE);
-                                // Degraded decision = the bound itself:
-                                // prefix survivors join (their op is
-                                // already paid; the lower bound passing
-                                // is exactly the ELB-only policy, made
-                                // no looser by the ALT tightening). The
-                                // pair whose check fired consumed its
-                                // cancel point.
-                                for k in survivors {
-                                    label[cands[k]] = Some(gid);
-                                    queue.push_back(cands[k]);
-                                }
-                                scan_elb_only(
-                                    &oracle,
-                                    &flows,
-                                    cur,
-                                    &cands[done..],
-                                    config,
-                                    ctl,
-                                    true,
-                                    &mut stats,
-                                    &mut label,
-                                    &mut queue,
-                                    gid,
-                                )
-                            }
-                            _ => Err(why),
-                        },
-                        None if survivors.is_empty() => Ok(()),
-                        None => {
-                            match oracle.endpoint_tables(&mut engine, &flows, cur, ctl, &mut stats)
-                            {
-                                Err(why) => match ctl {
-                                    Some(c) if should_degrade(why, c, false) => {
-                                        // A one-to-many expansion hit the
-                                        // budget. Every pair this scan is
-                                        // already bound-decided; survivors
-                                        // join under the ELB-only policy.
-                                        degraded = Some(why);
-                                        c.degrade(DEGRADE_NOTE);
-                                        for k in survivors {
-                                            label[cands[k]] = Some(gid);
-                                            queue.push_back(cands[k]);
-                                        }
-                                        Ok(())
-                                    }
-                                    _ => Err(why),
-                                },
-                                Ok(tabs) => {
-                                    // Pass 2 — exact decisions for the
-                                    // survivors: pure table lookups, no
-                                    // cancel points left to consume.
-                                    for k in survivors {
-                                        if oracle.table_near(&tabs, &flows[cands[k]], &mut stats) {
-                                            label[cands[k]] = Some(gid);
-                                            queue.push_back(cands[k]);
-                                        }
-                                    }
-                                    Ok(())
-                                }
-                            }
-                        }
-                    }
-                } else if ctl.is_some() || !exec.is_parallel_for(cands.len()) {
-                    // Controlled full-route / Dijkstra scans stay
-                    // sequential: their per-pair op counts depend on the
-                    // search, so live charging is the only exact protocol.
-                    scan_exact_sequential(
-                        &oracle,
-                        &mut engine,
-                        &flows,
-                        cur,
-                        &cands,
-                        config,
-                        ctl,
-                        &mut stats,
-                        &mut degraded,
-                        &mut label,
-                        &mut queue,
-                        gid,
-                    )
-                } else {
-                    // Uncontrolled exact scan: per-worker engines, shared
-                    // sharded memo. Decisions are order-independent, and
-                    // compute-under-lock keeps the counters exact.
-                    let res = exec.map_ctx(
-                        cands.len(),
-                        || ShortestPathEngine::new(net),
-                        |k, eng| {
-                            let mut ds = Phase3Stats {
-                                pairs_considered: 1,
-                                ..Phase3Stats::default()
-                            };
-                            let other = &flows[cands[k]];
-                            let near = if oracle.bound_filters_out(
-                                &flows[cur],
-                                other,
-                                config.route_distance,
-                                &mut ds,
-                            ) {
-                                false
-                            } else {
-                                match oracle.flow_distance(
-                                    eng,
-                                    &flows[cur],
-                                    other,
-                                    config.route_distance,
-                                    None,
-                                    &mut ds,
-                                ) {
-                                    Ok(Some(d)) => d <= config.epsilon,
-                                    // Uncontrolled searches cannot be
-                                    // interrupted; Err is unreachable.
-                                    Ok(None) | Err(_) => false,
-                                }
-                            };
-                            (near, ds)
-                        },
-                    );
-                    for (k, (near, ds)) in res.into_iter().enumerate() {
-                        stats.absorb(&ds);
-                        if near {
-                            label[cands[k]] = Some(gid);
-                            queue.push_back(cands[k]);
-                        }
-                    }
-                    Ok(())
-                };
-
-                if let Err(why) = scan {
+                let scanned = scan(
+                    &mut oracle,
+                    cur,
+                    &cands,
+                    ctl,
+                    &mut stats,
+                    &mut degraded,
+                    |o| {
+                        label[o] = Some(gid);
+                        queue.push_back(o);
+                    },
+                );
+                if let Err(why) = scanned {
                     stopped = Some(why);
                     // Flows still queued were already judged ε-reachable:
                     // group them before stopping.
-                    for &rest in &queue {
-                        groups[gid].push(rest);
-                    }
+                    groups[gid].extend(queue.iter().copied());
                     break 'outer;
                 }
             }
         }
     }
+    // The oracle borrows `flows`, which the clusters below consume.
+    drop(oracle);
 
     // On a stop, flows never reached become singleton clusters (in
     // seeding order) so the output remains a partition of the input.

@@ -221,7 +221,7 @@ impl<'a> Neat<'a> {
     }
 
     /// The one pipeline body. Phases 2 and 3 get `ctl` as given, so a
-    /// free run keeps phase 3's uncontrolled parallel exact scan.
+    /// free run polls no check point there.
     fn run_inner(
         &self,
         dataset: &Dataset,

@@ -9,9 +9,8 @@
 //! Why ride-through is the right default here: all workspace mutexes
 //! (declared in `lint-locks.toml`) guard either append-only result bins
 //! whose per-slot writes are completed before the guard drops (`exec`'s
-//! worker bins), memo-cache shards where a torn entry at worst recomputes
-//! (`neat::concache`), a swap cell whose update is a single pointer
-//! store (`neatsvc::snapshot`), or test/observability buffers
+//! worker bins), a swap cell whose update is a single pointer store
+//! (`neatsvc::snapshot`), or test/observability buffers
 //! (`runctl::progress`). None can be observed in a half-updated state
 //! across a panic boundary, so propagating the poison would only convert
 //! one thread's panic into a second, less diagnosable one. Components

@@ -42,11 +42,12 @@
 //! 3 = degraded/partial result delivered, 1 = error. `--on-overrun fail`
 //! turns an overrun into a hard error instead.
 //!
-//! With `--threads N` the clustering phases fan out across `N` workers;
-//! the output is bit-identical to a sequential run for any `N`, budgets
-//! included. `--threads 0` resolves to one worker per hardware thread —
-//! that resolution happens only here in the binary, never in library
-//! code.
+//! With `--threads N` phase-1 fragment extraction fans out across `N`
+//! workers (phases 2 and 3 run on the calling thread, so `--full-route`
+//! phase 3 does not speed up with `N`); the output is
+//! bit-identical to a sequential run for any `N`, budgets included.
+//! `--threads 0` resolves to one worker per hardware thread — that
+//! resolution happens only here in the binary, never in library code.
 //!
 //! Everything is deterministic under `--seed` (default 42).
 
@@ -554,16 +555,6 @@ fn cluster_checkpointed(
     let mut session = if flags.contains_key("resume") {
         match IncrementalNeat::resume(net, config, &store) {
             Ok((session, report)) => {
-                if config.threads > 1 && report.replayed_batches > 0 {
-                    return Err(format!(
-                        "--threads {} cannot be combined with --resume while `{dir}` is \
-                         mid-migration: {} journaled batch(es) are still pending replay \
-                         into a snapshot. Finish the replay first by re-running with \
-                         --threads 1 (this writes a fresh snapshot), then resume in \
-                         parallel.",
-                        config.threads, report.replayed_batches
-                    ));
-                }
                 println!(
                     "resumed from {dir}: snapshot at batch {}, {} journaled batch(es) replayed",
                     report

@@ -14,9 +14,13 @@ use neat_repro::traj::Dataset;
 const BATCHES: usize = 4;
 
 fn fixture(seed: u64) -> (RoadNetwork, Vec<Dataset>) {
+    sized_fixture(seed, 30)
+}
+
+fn sized_fixture(seed: u64, num_objects: usize) -> (RoadNetwork, Vec<Dataset>) {
     let net = generate_grid_network(&GridNetworkConfig::small_test(5, 5), seed);
     let sim = SimConfig {
-        num_objects: 30,
+        num_objects,
         num_hotspots: 2,
         num_destinations: 3,
         sample_period_s: 3.0,
@@ -157,6 +161,50 @@ fn resume_deterministic_under_parallel_phase1() {
     }
     let (mut resumed, _) =
         IncrementalNeat::resume(&net, threaded, &store).expect("thread-count change resumes");
+    for w in &windows[2..] {
+        resumed
+            .ingest_logged(w, ErrorPolicy::Strict, &store)
+            .expect("ingest");
+    }
+    assert_eq!(flow_fingerprint(&resumed), flow_fingerprint(&reference));
+    assert_eq!(opt_fingerprint(&resumed), opt_fingerprint(&reference));
+}
+
+#[test]
+fn journal_only_resume_replays_under_threads() {
+    // Two journaled windows and no snapshot: the resume replays both
+    // records at `threads: 4`, which must match the serial reference.
+    // Each replayed window spans at least 2·threads phase-1 chunks of 32
+    // trajectories, so the replay really fans out.
+    let (net, windows) = sized_fixture(42, 1000);
+    assert!(windows[..2].iter().all(|w| w.len() >= 2 * 4 * 32));
+    let serial = NeatConfig {
+        min_card: 3,
+        epsilon: 600.0,
+        threads: 1,
+        ..NeatConfig::default()
+    };
+    let threaded = NeatConfig {
+        threads: 4,
+        ..serial
+    };
+    let reference = straight_through(&net, serial, &windows, ErrorPolicy::Strict);
+
+    let fs = MemFs::new();
+    let store = CheckpointStore::open(fs.clone(), "/det/journal").expect("open");
+    {
+        let mut first = IncrementalNeat::new(&net, serial);
+        for w in &windows[..2] {
+            first
+                .ingest_logged(w, ErrorPolicy::Strict, &store)
+                .expect("ingest");
+        }
+        // Dropped without a snapshot: only the journal survives.
+    }
+    let (mut resumed, report) =
+        IncrementalNeat::resume(&net, threaded, &store).expect("journal-only resume");
+    assert_eq!(report.snapshot_seq, None);
+    assert_eq!(report.replayed_batches, 2);
     for w in &windows[2..] {
         resumed
             .ingest_logged(w, ErrorPolicy::Strict, &store)
