@@ -193,7 +193,10 @@ pub fn generate_dataset_labeled(
     // Junctions within network radius of each hotspot centre.
     let mut hotspot_members: Vec<Vec<NodeId>> = Vec::with_capacity(hotspots.len());
     for &h in &hotspots {
-        let dist = engine.distances_from(net, h, TravelMode::Undirected);
+        // Never interrupted: no control is attached.
+        let dist = engine
+            .distances_from(net, h, TravelMode::Undirected, None)
+            .unwrap_or_default();
         let mut members: Vec<NodeId> = dist
             .iter()
             .enumerate()
@@ -241,7 +244,10 @@ pub fn generate_dataset_labeled(
                     .entry((origin, dest))
                     .or_insert_with(|| match config.route_by {
                         neat_rnet::path::CostModel::Distance => {
-                            engine.route(net, origin, dest, TravelMode::Directed)
+                            // Never interrupted: no control is attached.
+                            engine
+                                .route(net, origin, dest, TravelMode::Directed, None)
+                                .unwrap_or(None)
                         }
                         neat_rnet::path::CostModel::TravelTime => engine
                             .fastest_route(net, origin, dest, TravelMode::Directed)

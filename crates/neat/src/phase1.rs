@@ -215,8 +215,8 @@ fn segment_keys(frags: &[TFragment]) -> Vec<u32> {
 const CHUNK: usize = 32;
 
 /// Phase 1 — the one implementation every entry point runs. The dataset
-/// is flattened into a [`SampleArena`] and extracted in [`CHUNK`]-sized
-/// runs of trajectories, each an item of
+/// is flattened into a [`SampleArena`] and extracted in fixed
+/// 32-trajectory chunks (`CHUNK`), each an item of
 /// [`neat_exec::Executor::try_map_ctl`]. A worker appends the fragments
 /// of its chunk into one contiguous buffer — no per-trajectory `Vec`s.
 ///
@@ -591,7 +591,7 @@ fn junction_chain(
             let d_pu = p.position.distance(net.position(u));
             let d_vq = net.position(v).distance(q.position);
             let found = engine
-                .route_ctl(net, u, v, TravelMode::Directed, Some(ctl))
+                .route(net, u, v, TravelMode::Directed, Some(ctl))
                 .map_err(NeatError::Interrupted)?;
             if let Some(route) = found {
                 let cost = d_pu + route.length + d_vq;

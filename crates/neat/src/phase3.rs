@@ -164,17 +164,13 @@ impl<'a> DistanceOracle<'a> {
         }
         let (lo, hi) = key;
         let d = match self.strategy {
-            SpStrategy::AStar => self.engine.distance_bounded_ctl(
-                self.net,
-                lo,
-                hi,
-                TravelMode::Undirected,
-                self.epsilon,
-                ctl,
-            )?,
+            SpStrategy::AStar => {
+                self.engine
+                    .distance(self.net, lo, hi, TravelMode::Undirected, self.epsilon, ctl)?
+            }
             // Plain unbounded network expansion: the paper's
             // opt-NEAT-Dijkstra baseline (Figure 7).
-            SpStrategy::Dijkstra => self.engine.distance_plain_ctl(self.net, lo, hi, ctl)?,
+            SpStrategy::Dijkstra => self.engine.distance_plain(self.net, lo, hi, ctl)?,
         };
         self.pair_cache.insert(key, d);
         stats.sp_computations += 1;
@@ -309,7 +305,7 @@ impl<'a> DistanceOracle<'a> {
             return Ok(());
         }
         let targets = self.table_targets(src);
-        let table = self.engine.distances_within_targets_ctl(
+        let table = self.engine.distances_within(
             self.net,
             src,
             TravelMode::Undirected,
@@ -602,7 +598,7 @@ pub fn refine_flow_clusters_ctl(
     // expansions, charged to `ctl` like the query-time searches whose
     // skips pay for them. Only worthwhile when the ELB filter runs.
     let alt = if config.use_elb && config.alt_landmarks > 0 && n >= 2 {
-        match AltLandmarks::build_ctl(
+        match AltLandmarks::build(
             net,
             &mut engine,
             config.alt_landmarks,

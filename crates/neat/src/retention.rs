@@ -4,7 +4,9 @@
 //! which is unbounded under live traffic. This module implements the
 //! *retention* half of the bounded-forever story:
 //!
-//! * [`expire_flows`] deterministically removes t-fragments whose
+//! * `expire_flows` (crate-private, reached through
+//!   [`IncrementalNeat::expire_before`](crate::IncrementalNeat::expire_before))
+//!   deterministically removes t-fragments whose
 //!   observation time falls behind a logical-time **watermark**. A flow
 //!   cluster whose interior members empty out is split into contiguous
 //!   runs (each still a valid route); fully-expired flows are dropped.

@@ -13,7 +13,7 @@
 //! interpreted; a corrupted length field surfaces as
 //! [`FrameError::TooLarge`] or a CRC mismatch over the mis-sliced body.
 //! The body begins with a one-byte message kind followed by
-//! [`Enc`](neat_durability::Enc)-encoded fields, reusing the exact
+//! [`neat_durability::Enc`]-encoded fields, reusing the exact
 //! bounds-checked decoder discipline of the checkpoint codec — a
 //! truncated or malformed body is an error, never a panic.
 //!

@@ -2,7 +2,7 @@
 //!
 //! Producers hand a batch over by writing it somewhere temporary and
 //! renaming it into the spool (exactly what
-//! [`write_atomic`](neat_durability::fs::write_atomic) does), so the
+//! [`neat_durability::fs::write_atomic`] does), so the
 //! service never observes a half-written batch: `*.tmp` entries and
 //! dotfiles are skipped by [`scan`]. The file name is the batch ID — it
 //! becomes the journaled dataset name, which is how replay recognises

@@ -24,41 +24,28 @@ use crate::path::{ShortestPathEngine, TravelMode};
 use neat_runctl::{Control, Interrupt};
 
 /// Precomputed landmark distance tables for ALT lower bounds.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct AltLandmarks {
     landmarks: Vec<NodeId>,
     /// `dist[l][n]` = network distance landmark `l` → node `n`
     /// (`INFINITY` when unreachable).
     dist: Vec<Vec<f64>>,
-    mode: TravelModeKind,
-}
-
-/// Whether the tables were built on the undirected metric (symmetric
-/// bound valid) or the directed one (one-sided bound only).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-enum TravelModeKind {
-    #[default]
-    Undirected,
-    Directed,
+    /// The metric the tables were built on: the symmetric bound is valid
+    /// on the undirected one, only the one-sided bound on the directed.
+    mode: TravelMode,
 }
 
 impl AltLandmarks {
-    /// Builds `k` landmark tables on `net` (uncontrolled).
-    pub fn build(net: &RoadNetwork, engine: &mut ShortestPathEngine, k: usize) -> Self {
-        // Infallible without a control.
-        Self::build_ctl(net, engine, k, TravelMode::Undirected, None)
-            .unwrap_or_else(|_| AltLandmarks::default())
-    }
-
-    /// Budget-aware build: every Dijkstra settlement of the `k`
-    /// preprocessing expansions is charged against `ctl`, so landmark
-    /// preprocessing participates in op/settled budgets exactly like
-    /// the query-time searches it replaces.
+    /// Builds `k` landmark tables on `net` under `mode`. Every Dijkstra
+    /// settlement of the `k` preprocessing expansions is charged against
+    /// `ctl`, so landmark preprocessing participates in op/settled
+    /// budgets exactly like the query-time searches it replaces.
     ///
     /// # Errors
     ///
     /// Returns the first interrupt observed; no partial table escapes.
-    pub fn build_ctl(
+    /// Never fails without a control.
+    pub fn build(
         net: &RoadNetwork,
         engine: &mut ShortestPathEngine,
         k: usize,
@@ -69,10 +56,7 @@ impl AltLandmarks {
         let mut out = AltLandmarks {
             landmarks: Vec::new(),
             dist: Vec::new(),
-            mode: match mode {
-                TravelMode::Undirected => TravelModeKind::Undirected,
-                TravelMode::Directed => TravelModeKind::Directed,
-            },
+            mode,
         };
         if n == 0 || k == 0 {
             return Ok(out);
@@ -83,7 +67,7 @@ impl AltLandmarks {
         let mut min_to_chosen = vec![f64::INFINITY; n];
         let mut next = NodeId::new(0);
         for _ in 0..k.min(n) {
-            let table = engine.distances_from_ctl(net, next, mode, ctl)?;
+            let table = engine.distances_from(net, next, mode, ctl)?;
             for (i, &d) in table.iter().enumerate() {
                 if d < min_to_chosen[i] {
                     min_to_chosen[i] = d;
@@ -138,9 +122,9 @@ impl AltLandmarks {
                 continue;
             }
             let lb = match self.mode {
-                TravelModeKind::Undirected => (da - db).abs(),
+                TravelMode::Undirected => (da - db).abs(),
                 // Directed: only d(L,b) ≤ d(L,a) + d(a,b) is usable.
-                TravelModeKind::Directed => db - da,
+                TravelMode::Directed => db - da,
             };
             if lb > best {
                 best = lb;
@@ -157,15 +141,22 @@ mod tests {
     use crate::graph::RoadNetworkBuilder;
     use crate::netgen::{generate_grid_network, GridNetworkConfig};
 
+    const INF: f64 = f64::INFINITY;
+
     fn grid(rows: usize, cols: usize, seed: u64) -> RoadNetwork {
         generate_grid_network(&GridNetworkConfig::small_test(rows, cols), seed)
+    }
+
+    /// Uncontrolled undirected build.
+    fn build(net: &RoadNetwork, engine: &mut ShortestPathEngine, k: usize) -> AltLandmarks {
+        AltLandmarks::build(net, engine, k, TravelMode::Undirected, None).unwrap()
     }
 
     #[test]
     fn bound_never_exceeds_true_distance_on_grids() {
         let net = grid(6, 7, 13);
         let mut engine = ShortestPathEngine::new(&net);
-        let alt = AltLandmarks::build(&net, &mut engine, 4);
+        let alt = build(&net, &mut engine, 4);
         assert_eq!(alt.len(), 4);
         let n = net.node_count();
         for a in 0..n {
@@ -173,7 +164,10 @@ mod tests {
                 let (na, nb) = (NodeId::new(a), NodeId::new(b));
                 let lb = alt.lower_bound(na, nb);
                 assert!(lb >= 0.0);
-                if let Some(d) = engine.distance(&net, na, nb, TravelMode::Undirected) {
+                if let Some(d) = engine
+                    .distance(&net, na, nb, TravelMode::Undirected, INF, None)
+                    .unwrap()
+                {
                     assert!(
                         lb <= d + 1e-9,
                         "ALT bound {lb} exceeds true distance {d} for {a}->{b}"
@@ -187,11 +181,14 @@ mod tests {
     fn bound_is_exact_from_a_landmark_itself() {
         let net = grid(4, 4, 7);
         let mut engine = ShortestPathEngine::new(&net);
-        let alt = AltLandmarks::build(&net, &mut engine, 3);
+        let alt = build(&net, &mut engine, 3);
         let l0 = alt.landmarks()[0];
         for b in 0..net.node_count() {
             let nb = NodeId::new(b);
-            if let Some(d) = engine.distance(&net, l0, nb, TravelMode::Undirected) {
+            if let Some(d) = engine
+                .distance(&net, l0, nb, TravelMode::Undirected, INF, None)
+                .unwrap()
+            {
                 // d(L0, b) ≥ |d(L0, L0) − d(L0, b)| = d with equality.
                 assert!((alt.lower_bound(l0, nb) - d).abs() < 1e-9);
             }
@@ -203,8 +200,8 @@ mod tests {
         let net = grid(5, 5, 99);
         let mut e1 = ShortestPathEngine::new(&net);
         let mut e2 = ShortestPathEngine::new(&net);
-        let a = AltLandmarks::build(&net, &mut e1, 5);
-        let b = AltLandmarks::build(&net, &mut e2, 5);
+        let a = build(&net, &mut e1, 5);
+        let b = build(&net, &mut e2, 5);
         assert_eq!(a.landmarks(), b.landmarks());
     }
 
@@ -220,7 +217,7 @@ mod tests {
         b.add_segment(n2, n3, 13.9).expect("distinct nodes");
         let net = b.build().expect("valid network");
         let mut engine = ShortestPathEngine::new(&net);
-        let alt = AltLandmarks::build(&net, &mut engine, 2);
+        let alt = build(&net, &mut engine, 2);
         assert_eq!(alt.len(), 2);
         // One landmark per component: both in-component bounds are live.
         assert!(alt.lower_bound(n0, n1) > 0.0);
@@ -233,7 +230,7 @@ mod tests {
     fn empty_and_zero_k_are_harmless() {
         let net = grid(3, 3, 1);
         let mut engine = ShortestPathEngine::new(&net);
-        let alt = AltLandmarks::build(&net, &mut engine, 0);
+        let alt = build(&net, &mut engine, 0);
         assert!(alt.is_empty());
         assert_eq!(alt.lower_bound(NodeId::new(0), NodeId::new(5)), 0.0);
     }

@@ -26,6 +26,16 @@ pub enum RnetError {
     },
     /// A segment's speed limit is not strictly positive.
     NonPositiveSpeed(SegmentId),
+    /// A segment's length or speed limit is NaN or infinite, or one of
+    /// its endpoints has a NaN or infinite coordinate.
+    NonFiniteSegment {
+        /// Offending segment.
+        segment: SegmentId,
+        /// Declared polyline length in metres.
+        length: f64,
+        /// Declared speed limit in m/s.
+        speed_limit: f64,
+    },
     /// No path exists between the requested nodes.
     NoPath {
         /// Source junction.
@@ -54,6 +64,14 @@ impl fmt::Display for RnetError {
             RnetError::NonPositiveSpeed(s) => {
                 write!(f, "segment {s} speed limit must be positive")
             }
+            RnetError::NonFiniteSegment {
+                segment,
+                length,
+                speed_limit,
+            } => write!(
+                f,
+                "segment {segment} is not finite (length {length}m, speed limit {speed_limit}m/s, or an endpoint position)"
+            ),
             RnetError::NoPath { from, to } => write!(f, "no path from {from} to {to}"),
             RnetError::EmptyNetwork => write!(f, "road network has no nodes"),
         }
@@ -78,6 +96,11 @@ mod tests {
                 chord: 2.0,
             },
             RnetError::NonPositiveSpeed(SegmentId::new(5)),
+            RnetError::NonFiniteSegment {
+                segment: SegmentId::new(6),
+                length: f64::NAN,
+                speed_limit: 13.9,
+            },
             RnetError::NoPath {
                 from: NodeId::new(0),
                 to: NodeId::new(1),

@@ -438,8 +438,9 @@ impl RoadNetworkBuilder {
     /// # Errors
     ///
     /// Returns an error if an endpoint is unknown, the segment is a
-    /// self-loop, the length is shorter than the chord between the
-    /// endpoints, or the speed limit is non-positive.
+    /// self-loop, the length, speed limit or chord is NaN or infinite,
+    /// the length is shorter than the chord between the endpoints, or
+    /// the speed limit is non-positive.
     pub fn add_segment_detailed(
         &mut self,
         a: NodeId,
@@ -453,6 +454,15 @@ impl RoadNetworkBuilder {
             return Err(RnetError::SelfLoop(a));
         }
         let id = SegmentId::new(self.segments.len());
+        // NaN fails every comparison below, so it must be caught first:
+        // the A* heuristic and the ELB filter rely on length >= chord.
+        if !(length.is_finite() && speed_limit.is_finite() && chord.is_finite()) {
+            return Err(RnetError::NonFiniteSegment {
+                segment: id,
+                length,
+                speed_limit,
+            });
+        }
         if length < chord - 1e-6 {
             return Err(RnetError::LengthShorterThanChord {
                 segment: id,
@@ -597,6 +607,28 @@ mod tests {
         let s = b.add_segment_detailed(a, c, 120.0, 10.0, false).unwrap();
         let net = b.build().unwrap();
         assert_eq!(net.segment(s).unwrap().length, 120.0);
+    }
+
+    #[test]
+    fn non_finite_segment_values_rejected() {
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut b = RoadNetworkBuilder::new();
+            let a = b.add_node(Point::new(0.0, 0.0));
+            let c = b.add_node(Point::new(100.0, 0.0));
+            let far = b.add_node(Point::new(v, 0.0));
+            for (from, to, length, speed) in
+                [(a, c, v, 10.0), (a, c, 100.0, v), (a, far, 100.0, 10.0)]
+            {
+                let err = b
+                    .add_segment_detailed(from, to, length, speed, false)
+                    .unwrap_err();
+                assert!(
+                    matches!(err, RnetError::NonFiniteSegment { .. }),
+                    "{v}: {err}"
+                );
+            }
+            assert_eq!(b.segment_count(), 0, "{v}: nothing was added");
+        }
     }
 
     #[test]

@@ -142,6 +142,9 @@ pub fn read_network<R: BufRead>(r: R) -> Result<RoadNetwork, NetIoError> {
                 let y: f64 = fields[3]
                     .parse()
                     .map_err(|_| err(format!("bad y `{}`", fields[3])))?;
+                if !(x.is_finite() && y.is_finite()) {
+                    return Err(err(format!("non-finite node position ({x}, {y})")));
+                }
                 b.add_node(Point::new(x, y));
             }
             Some("segment") => {
@@ -225,6 +228,34 @@ mod tests {
         let text = "node,0,0.0,0.0\nnode,1,nan_x,0.0\n";
         let err = read_network(text.as_bytes()).unwrap_err();
         assert!(matches!(err, NetIoError::Parse { line: 2, .. }));
+    }
+
+    #[test]
+    fn non_finite_values_are_rejected() {
+        for v in ["NaN", "inf", "-inf"] {
+            // A node coordinate: a parse error on that node's line.
+            for node in [format!("node,1,{v},0.0"), format!("node,1,0.0,{v}")] {
+                let text = format!("node,0,0.0,0.0\n{node}\n");
+                let err = read_network(text.as_bytes()).unwrap_err();
+                assert!(
+                    matches!(err, NetIoError::Parse { line: 2, .. }),
+                    "{v}: {err}"
+                );
+            }
+            // A segment length or speed limit: the builder's structured error.
+            let head = "node,0,0.0,0.0\nnode,1,100.0,0.0\n";
+            for seg in [
+                format!("segment,0,0,1,{v},13.9,0"),
+                format!("segment,0,0,1,100.0,{v},0"),
+            ] {
+                let text = format!("{head}{seg}\n");
+                let err = read_network(text.as_bytes()).unwrap_err();
+                assert!(
+                    matches!(err, NetIoError::Invalid(RnetError::NonFiniteSegment { .. })),
+                    "{seg}: {err}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //!   ([`RoadNetwork`], [`Segment`], [`graph`]),
 //! * road-network locations `(sid, x, y, t)` and offset arithmetic
 //!   ([`location`]),
-//! * shortest-path machinery (Dijkstra, bidirectional Dijkstra and A*) used
-//!   by the simulator, the map matcher and NEAT Phase 3 ([`path`]),
+//! * one shortest-path engine (Dijkstra and A* over a single search loop)
+//!   used by the simulator, NEAT Phase 1 gap repair and Phase 3
+//!   ([`path`]), plus ALT landmark lower bounds for Phase 3 ([`alt`]),
 //! * a uniform-grid spatial index for nearest-segment queries ([`index`]),
 //! * seeded synthetic network generators calibrated to the paper's three
 //!   real maps — North-West Atlanta, West San Jose and Miami-Dade
@@ -26,7 +27,6 @@
 //! ```
 
 pub mod alt;
-pub mod bidi;
 pub mod error;
 pub mod geometry;
 pub mod graph;
@@ -36,9 +36,7 @@ pub mod io;
 pub mod location;
 pub mod netgen;
 pub mod path;
-pub mod rtree;
 
-pub use bidi::BidirectionalDijkstra;
 pub use error::RnetError;
 pub use geometry::Point;
 pub use graph::{NetworkStats, RoadNetwork, RoadNetworkBuilder, Segment};
@@ -46,4 +44,3 @@ pub use ids::{NodeId, SegmentId};
 pub use index::{GridScratch, SegmentIndex};
 pub use location::RoadLocation;
 pub use path::{Route, ShortestPathEngine};
-pub use rtree::SegmentRTree;

@@ -1,22 +1,26 @@
 //! Shortest paths over the road network.
 //!
 //! NEAT needs network distances in three places: the mobility simulator
-//! routes objects along shortest paths, the map matcher repairs gaps between
-//! non-contiguous samples, and Phase 3 measures the modified Hausdorff
-//! distance between flow-cluster endpoints (`d_N(a, b)` in Definition 11 —
-//! the paper treats the graph as undirected there).
+//! routes objects along shortest paths, Phase 1 repairs gaps between
+//! non-contiguous map-matched samples, and Phase 3 measures the modified
+//! Hausdorff distance between flow-cluster endpoints (`d_N(a, b)` in
+//! Definition 11 — the paper treats the graph as undirected there).
 //!
-//! [`ShortestPathEngine`] implements Dijkstra and A* (with the admissible
-//! Euclidean heuristic — segment lengths are never shorter than their
-//! chords) over reusable scratch buffers so repeated queries on large
+//! [`ShortestPathEngine`] answers every query shape — point-to-point
+//! distance, route, fastest route, one-to-all and bounded one-to-many —
+//! with one search loop: Dijkstra, or A* with the admissible Euclidean
+//! heuristic (segment lengths are never shorter than their chords). The
+//! loop runs over reusable scratch buffers so repeated queries on large
 //! networks (Miami-Dade has >100 k junctions) do not reallocate.
 
+use crate::geometry::Point;
 use crate::graph::RoadNetwork;
 use crate::ids::{NodeId, SegmentId};
 use neat_runctl::{Control, Interrupt};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::ops::ControlFlow;
 
 /// Whether one-way restrictions are honoured during the search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -102,7 +106,10 @@ impl PartialOrd for HeapEntry {
 /// Reusable shortest-path solver.
 ///
 /// The engine owns scratch arrays sized to one network; it is cheap to keep
-/// one per thread and issue many queries.
+/// one per thread and issue many queries. Every query runs the same search
+/// loop and takes an optional [`Control`]: each node settlement is charged
+/// against it, and the first interrupt abandons the search. Without a
+/// control a query never fails.
 ///
 /// ```
 /// use neat_rnet::{Point, RoadNetworkBuilder, ShortestPathEngine};
@@ -117,8 +124,8 @@ impl PartialOrd for HeapEntry {
 /// b.add_segment(n1, n2, 13.9)?;
 /// let net = b.build()?;
 /// let mut sp = ShortestPathEngine::new(&net);
-/// let d = sp.distance(&net, n0, n2, TravelMode::Undirected).unwrap();
-/// assert_eq!(d, 200.0);
+/// let d = sp.distance(&net, n0, n2, TravelMode::Undirected, f64::INFINITY, None);
+/// assert_eq!(d, Ok(Some(200.0)));
 /// # Ok(())
 /// # }
 /// ```
@@ -132,8 +139,6 @@ pub struct ShortestPathEngine {
     stamp: Vec<u32>,
     generation: u32,
     heap: BinaryHeap<HeapEntry>,
-    /// Number of node settlements across all queries (for instrumentation).
-    settled_total: u64,
 }
 
 const NO_PREV: u32 = u32::MAX;
@@ -155,19 +160,7 @@ impl ShortestPathEngine {
             stamp: vec![0; n],
             generation: 0,
             heap: BinaryHeap::new(),
-            settled_total: 0,
         }
-    }
-
-    /// Total number of node settlements performed so far — used by the
-    /// benchmarks to show how the ELB filter reduces search effort.
-    pub fn settled_nodes(&self) -> u64 {
-        self.settled_total
-    }
-
-    /// Resets the settlement counter.
-    pub fn reset_counters(&mut self) {
-        self.settled_total = 0;
     }
 
     fn begin(&mut self, net: &RoadNetwork) {
@@ -194,127 +187,55 @@ impl ShortestPathEngine {
         }
     }
 
-    /// Network distance `d_N(from, to)` in metres, or `None` if unreachable.
+    /// Network distance `d_N(from, to)` in metres by A* with the
+    /// Euclidean heuristic, which is admissible because every segment's
+    /// length is at least its chord. `Ok(None)` when `to` is unreachable
+    /// or farther than `bound`; pass `f64::INFINITY` for no bound.
     ///
-    /// Runs A* with the Euclidean heuristic, which is admissible because
-    /// every segment's length is at least its chord.
+    /// Phase 3 of NEAT only needs to know whether `d_N ≤ ε`; bounding the
+    /// search keeps the ε-neighbourhood queries cheap.
+    ///
+    /// # Errors
+    ///
+    /// Returns the latched [`Interrupt`] when `ctl` stops the search;
+    /// never fails without a control.
     pub fn distance(
         &mut self,
         net: &RoadNetwork,
         from: NodeId,
         to: NodeId,
         mode: TravelMode,
-    ) -> Option<f64> {
-        self.search(
-            net,
-            from,
-            Some(to),
-            mode,
-            f64::INFINITY,
-            true,
-            CostModel::Distance,
-        )
+        bound: f64,
+        ctl: Option<&Control>,
+    ) -> Result<Option<f64>, Interrupt> {
+        let goal = Some(net.position(to));
+        self.search_to(net, from, to, mode, CostModel::Distance, goal, bound, ctl)
     }
 
     /// Undirected network distance computed with plain Dijkstra network
-    /// expansion (no heuristic) — the paper's baseline for the Phase-3
-    /// ablation (`opt-NEAT-Dijkstra`, Figure 7).
-    pub fn distance_plain(&mut self, net: &RoadNetwork, from: NodeId, to: NodeId) -> Option<f64> {
-        // Infallible without a control.
-        self.distance_plain_ctl(net, from, to, None).unwrap_or(None)
-    }
-
-    /// [`ShortestPathEngine::distance_plain`] under an optional
-    /// control: every node settlement is charged against `ctl`, and the
-    /// search stops mid-expansion when a limit fires.
+    /// expansion (no heuristic, no bound) — the paper's baseline for the
+    /// Phase-3 ablation (`opt-NEAT-Dijkstra`, Figure 7).
     ///
     /// # Errors
     ///
-    /// Returns the latched [`Interrupt`] when the control stops the
-    /// search; `Ok(None)` still means plain unreachability. Never fails
-    /// without a control.
-    pub fn distance_plain_ctl(
+    /// Same contract as [`ShortestPathEngine::distance`].
+    pub fn distance_plain(
         &mut self,
         net: &RoadNetwork,
         from: NodeId,
         to: NodeId,
         ctl: Option<&Control>,
     ) -> Result<Option<f64>, Interrupt> {
-        self.search_ctl(
-            net,
-            from,
-            Some(to),
-            TravelMode::Undirected,
-            f64::INFINITY,
-            false,
-            CostModel::Distance,
-            ctl,
-        )
+        let (mode, cost) = (TravelMode::Undirected, CostModel::Distance);
+        self.search_to(net, from, to, mode, cost, None, f64::INFINITY, ctl)
     }
 
-    /// Like [`ShortestPathEngine::distance`] but abandons the search once
-    /// the best reachable distance exceeds `bound`, returning `None`.
-    ///
-    /// Phase 3 of NEAT only needs to know whether `d_N ≤ ε`; bounding the
-    /// search keeps the ε-neighbourhood queries cheap.
-    pub fn distance_bounded(
-        &mut self,
-        net: &RoadNetwork,
-        from: NodeId,
-        to: NodeId,
-        mode: TravelMode,
-        bound: f64,
-    ) -> Option<f64> {
-        // Infallible without a control.
-        self.distance_bounded_ctl(net, from, to, mode, bound, None)
-            .unwrap_or(None)
-    }
-
-    /// [`ShortestPathEngine::distance_bounded`] under an optional
-    /// control.
+    /// Full shortest route by A*, or `Ok(None)` if unreachable.
     ///
     /// # Errors
     ///
-    /// Same contract as [`ShortestPathEngine::distance_plain_ctl`].
-    pub fn distance_bounded_ctl(
-        &mut self,
-        net: &RoadNetwork,
-        from: NodeId,
-        to: NodeId,
-        mode: TravelMode,
-        bound: f64,
-        ctl: Option<&Control>,
-    ) -> Result<Option<f64>, Interrupt> {
-        self.search_ctl(
-            net,
-            from,
-            Some(to),
-            mode,
-            bound,
-            true,
-            CostModel::Distance,
-            ctl,
-        )
-    }
-
-    /// Full shortest route, or `None` if unreachable.
+    /// Same contract as [`ShortestPathEngine::distance`].
     pub fn route(
-        &mut self,
-        net: &RoadNetwork,
-        from: NodeId,
-        to: NodeId,
-        mode: TravelMode,
-    ) -> Option<Route> {
-        // Infallible without a control.
-        self.route_ctl(net, from, to, mode, None).unwrap_or(None)
-    }
-
-    /// [`ShortestPathEngine::route`] under an optional control.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`ShortestPathEngine::distance_plain_ctl`].
-    pub fn route_ctl(
         &mut self,
         net: &RoadNetwork,
         from: NodeId,
@@ -322,16 +243,7 @@ impl ShortestPathEngine {
         mode: TravelMode,
         ctl: Option<&Control>,
     ) -> Result<Option<Route>, Interrupt> {
-        let length = self.search_ctl(
-            net,
-            from,
-            Some(to),
-            mode,
-            f64::INFINITY,
-            true,
-            CostModel::Distance,
-            ctl,
-        )?;
+        let length = self.distance(net, from, to, mode, f64::INFINITY, ctl)?;
         Ok(length.map(|l| self.rebuild_route(from, to, l)))
     }
 
@@ -367,15 +279,12 @@ impl ShortestPathEngine {
         to: NodeId,
         mode: TravelMode,
     ) -> Option<(Route, f64)> {
-        let seconds = self.search(
-            net,
-            from,
-            Some(to),
-            mode,
-            f64::INFINITY,
-            true,
-            CostModel::TravelTime,
-        )?;
+        let cost = CostModel::TravelTime;
+        let goal = Some(net.position(to));
+        // Without a control the search cannot be interrupted.
+        let seconds = self
+            .search_to(net, from, to, mode, cost, goal, f64::INFINITY, None)
+            .ok()??;
         let timed = self.rebuild_route(from, to, 0.0);
         // Invariant: every id in `segments` was written into `prev_seg` by
         // the search itself from `net.incident_segments`, so the lookup in
@@ -390,106 +299,60 @@ impl ShortestPathEngine {
 
     /// Single-source distances to every reachable node (plain Dijkstra, no
     /// heuristic, no target). Entries for unreachable nodes are
-    /// `f64::INFINITY`.
-    pub fn distances_from(
-        &mut self,
-        net: &RoadNetwork,
-        from: NodeId,
-        mode: TravelMode,
-    ) -> Vec<f64> {
-        // Infallible without a control.
-        self.distances_from_ctl(net, from, mode, None)
-            .unwrap_or_default()
-    }
-
-    /// [`ShortestPathEngine::distances_from`] under an optional
-    /// control. An interrupt abandons the expansion entirely rather than
-    /// returning a partially settled (and therefore misleading) distance
-    /// table.
+    /// `f64::INFINITY`. An interrupt abandons the expansion entirely
+    /// rather than returning a partially settled (and therefore
+    /// misleading) distance table.
     ///
     /// # Errors
     ///
-    /// Same contract as [`ShortestPathEngine::distance_plain_ctl`].
-    pub fn distances_from_ctl(
+    /// Same contract as [`ShortestPathEngine::distance`].
+    pub fn distances_from(
         &mut self,
         net: &RoadNetwork,
         from: NodeId,
         mode: TravelMode,
         ctl: Option<&Control>,
     ) -> Result<Vec<f64>, Interrupt> {
-        self.search_ctl(
-            net,
-            from,
-            None,
-            mode,
-            f64::INFINITY,
-            false,
-            CostModel::Distance,
-            ctl,
-        )?;
-        Ok(self.collect_distances(net))
+        let cost = CostModel::Distance;
+        self.expand(net, from, mode, cost, None, f64::INFINITY, ctl, |_, _| {
+            ControlFlow::Continue(())
+        })?;
+        let mut out = vec![f64::INFINITY; net.node_count()];
+        for (i, d) in out.iter_mut().enumerate() {
+            if self.stamp[i] == self.generation {
+                *d = self.dist[i];
+            }
+        }
+        Ok(out)
     }
 
     /// Bounded one-to-many Dijkstra: exact distances from `from` to
     /// every node within `bound`, as a sparse table.
     ///
     /// One expansion answers *all* point queries `d(from, x) ≤ bound`
-    /// exactly: a node absent from the table is strictly farther than
-    /// `bound`. This replaces repeated point-to-point searches from a
-    /// shared source (phase 3 asks for the distance from one
-    /// representative-route endpoint to every candidate endpoint within
-    /// ε) at the cost of a single ε-ball expansion.
-    pub fn distances_within(
-        &mut self,
-        net: &RoadNetwork,
-        from: NodeId,
-        mode: TravelMode,
-        bound: f64,
-    ) -> NodeDistances {
-        // Infallible without a control.
-        self.distances_within_ctl(net, from, mode, bound, None)
-            .unwrap_or_else(|_| NodeDistances::empty())
-    }
-
-    /// Budget-aware [`ShortestPathEngine::distances_within`]; charges one
-    /// settlement per finalised node, like every other search here. An
-    /// interrupt abandons the expansion entirely rather than returning a
-    /// partially settled table.
+    /// exactly: with `targets: None`, a node absent from the table is
+    /// strictly farther than `bound`. This replaces repeated
+    /// point-to-point searches from a shared source (phase 3 asks for the
+    /// distance from one representative-route endpoint to every candidate
+    /// endpoint within ε) at the cost of a single ε-ball expansion.
     ///
-    /// # Errors
-    ///
-    /// Same contract as [`ShortestPathEngine::distance_plain_ctl`].
-    pub fn distances_within_ctl(
-        &mut self,
-        net: &RoadNetwork,
-        from: NodeId,
-        mode: TravelMode,
-        bound: f64,
-        ctl: Option<&Control>,
-    ) -> Result<NodeDistances, Interrupt> {
-        self.distances_within_targets_ctl(net, from, mode, bound, None, ctl)
-    }
-
-    /// Target-pruned bounded one-to-many Dijkstra: like
-    /// [`ShortestPathEngine::distances_within_ctl`], but the expansion
-    /// additionally stops as soon as every node in `targets` has been
-    /// settled — often long before the `bound`-ball is exhausted.
-    ///
-    /// The truncated table still answers `d(from, x) ≤ bound` **exactly
-    /// for every `x ∈ targets`**: either all targets settled (so each is
-    /// present with its exact distance), or some target is farther than
-    /// `bound` and the expansion ran the full ball (so absence proves
-    /// `> bound`, as in the unpruned variant). For nodes *outside*
+    /// With `targets: Some(..)` the expansion additionally stops as soon
+    /// as every target has been settled — often long before the
+    /// `bound`-ball is exhausted. The truncated table still answers
+    /// `d(from, x) ≤ bound` **exactly for every `x ∈ targets`**: either
+    /// all targets settled (so each is present with its exact distance),
+    /// or some target is farther than `bound` and the expansion ran the
+    /// full ball (so absence proves `> bound`). For nodes *outside*
     /// `targets`, absence from a truncated table is inconclusive —
     /// callers must only query targets, or nodes independently proven
-    /// farther than `bound`.
-    ///
-    /// Duplicate target entries are fine; `None` disables pruning.
+    /// farther than `bound`. Duplicate target entries are fine.
     ///
     /// # Errors
     ///
-    /// Same contract as [`ShortestPathEngine::distance_plain_ctl`].
-    pub fn distances_within_targets_ctl(
+    /// Same contract as [`ShortestPathEngine::distance`]; an interrupt
+    /// abandons the expansion rather than returning a partially settled
+    /// table.
+    pub fn distances_within(
         &mut self,
         net: &RoadNetwork,
         from: NodeId,
@@ -516,125 +379,91 @@ impl ShortestPathEngine {
             // farther than `bound`.
             return Ok(NodeDistances::empty());
         }
-        self.begin(net);
-        let src = from.index();
-        self.touch(src);
-        self.dist[src] = 0.0;
-        self.heap.push(HeapEntry {
-            priority: 0.0,
-            dist: 0.0,
-            node: src as u32,
-        });
         let mut pairs: Vec<(NodeId, f64)> = Vec::new();
-        while let Some(HeapEntry { dist, node, .. }) = self.heap.pop() {
-            let u = node as usize;
-            if self.stamp[u] == self.generation && dist > self.dist[u] {
-                continue; // stale entry
-            }
-            self.settled_total += 1;
-            if let Some(c) = ctl {
-                c.check_settled()?;
-            }
-            if dist > bound {
-                break; // every remaining node is farther than the bound
-            }
-            pairs.push((NodeId::new(u), dist));
-            if wanted.binary_search(&u).is_ok() {
+        let cost = CostModel::Distance;
+        self.expand(net, from, mode, cost, None, bound, ctl, |node, dist| {
+            pairs.push((node, dist));
+            if wanted.binary_search(&node.index()).is_ok() {
                 remaining -= 1;
                 if remaining == 0 {
-                    break; // every target is settled: the table is complete
+                    return ControlFlow::Break(()); // every target is settled: the table is complete
                 }
             }
-            for &sid in net.incident_segments(NodeId::new(u)) {
-                // Invariant: `sid` comes from `net`'s own adjacency lists,
-                // so the segment is always present in the same network.
-                let seg = net.segment(sid).expect("incident segment exists"); // lint:allow(L1) reason=documented invariant above: sid is from this network's adjacency lists
-                if mode == TravelMode::Directed && !seg.traversable_from(NodeId::new(u)) {
-                    continue;
-                }
-                let v = seg.other_endpoint(NodeId::new(u)).index();
-                let nd = dist + seg.length;
-                self.touch(v);
-                if nd < self.dist[v] {
-                    self.dist[v] = nd;
-                    self.prev_node[v] = u as u32;
-                    self.prev_seg[v] = sid.index() as u32; // lint:allow(L4) reason=SegmentId wraps u32, so index() round-trips losslessly
-                    self.heap.push(HeapEntry {
-                        priority: nd,
-                        dist: nd,
-                        node: v as u32,
-                    });
-                }
-            }
-        }
-        self.heap.clear();
+            ControlFlow::Continue(())
+        })?;
         pairs.sort_by_key(|(n, _)| n.index());
         Ok(NodeDistances { pairs })
     }
 
-    fn collect_distances(&self, net: &RoadNetwork) -> Vec<f64> {
-        let mut out = vec![f64::INFINITY; net.node_count()];
-        for (i, d) in out.iter_mut().enumerate() {
-            if self.stamp[i] == self.generation {
-                *d = self.dist[i];
-            }
-        }
-        out
-    }
-
-    /// Uncontrolled search core, kept infallible for the legacy entry
-    /// points: with no control attached, [`ShortestPathEngine::search_ctl`]
-    /// can never return an interrupt.
+    /// Point-to-point search: the cost of the cheapest path to `to`, or
+    /// `None` when it is unreachable or costs more than `bound`.
     #[allow(clippy::too_many_arguments)]
-    fn search(
+    #[inline(always)]
+    fn search_to(
         &mut self,
         net: &RoadNetwork,
         from: NodeId,
-        target: Option<NodeId>,
+        to: NodeId,
         mode: TravelMode,
-        bound: f64,
-        use_heuristic: bool,
         cost: CostModel,
-    ) -> Option<f64> {
-        self.search_ctl(net, from, target, mode, bound, use_heuristic, cost, None)
-            .unwrap_or(None)
-    }
-
-    /// Core search. Returns the distance to `target` when given, otherwise
-    /// `None` after exhausting the graph. When a control is attached,
-    /// every settlement is charged against it and the first interrupt
-    /// aborts the expansion; without one the checks cost a single branch.
-    #[allow(clippy::too_many_arguments)]
-    fn search_ctl(
-        &mut self,
-        net: &RoadNetwork,
-        from: NodeId,
-        target: Option<NodeId>,
-        mode: TravelMode,
+        goal: Option<Point>,
         bound: f64,
-        use_heuristic: bool,
-        cost: CostModel,
         ctl: Option<&Control>,
     ) -> Result<Option<f64>, Interrupt> {
+        let mut found = None;
+        self.expand(net, from, mode, cost, goal, bound, ctl, |node, dist| {
+            if node == to {
+                found = Some(dist);
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        })?;
+        Ok(found)
+    }
+
+    /// The one search loop: Dijkstra from `from`, or A* towards `goal`
+    /// with the straight-line heuristic when one is given.
+    ///
+    /// Each settlement is first charged to `ctl` (the first interrupt
+    /// aborts the search), then the search ends once the settled cost
+    /// exceeds `bound` (every remaining node is farther), then `visit`
+    /// sees the node and its final cost, and only then are its edges
+    /// relaxed.
+    ///
+    /// Always inlined, so each query compiles to its own loop with the
+    /// visitor, cost model and heuristic fixed: the shared loop must cost
+    /// the hot searches (phase-3 tables, gap repair) nothing over
+    /// hand-written ones.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    fn expand(
+        &mut self,
+        net: &RoadNetwork,
+        from: NodeId,
+        mode: TravelMode,
+        cost: CostModel,
+        goal: Option<Point>,
+        bound: f64,
+        ctl: Option<&Control>,
+        mut visit: impl FnMut(NodeId, f64) -> ControlFlow<()>,
+    ) -> Result<(), Interrupt> {
         self.begin(net);
-        let goal_pos = target.map(|t| net.position(t));
         // Heuristic stays admissible under both cost models: straight-line
         // metres, divided by the fastest speed limit for travel time.
         let h_scale = match cost {
             CostModel::Distance => 1.0,
             CostModel::TravelTime => 1.0 / self.max_speed,
         };
-        let h = |net: &RoadNetwork, n: usize| -> f64 {
-            match (use_heuristic, goal_pos) {
-                (true, Some(g)) => net.position(NodeId::new(n)).distance(g) * h_scale,
-                _ => 0.0,
-            }
+        let priority = |n: usize, d: f64| match goal {
+            Some(g) => d + net.position(NodeId::new(n)).distance(g) * h_scale,
+            None => d,
         };
         let src = from.index();
         self.touch(src);
         self.dist[src] = 0.0;
         self.heap.push(HeapEntry {
-            priority: h(net, src),
+            priority: priority(src, 0.0),
             dist: 0.0,
             node: src as u32,
         });
@@ -643,24 +472,24 @@ impl ShortestPathEngine {
             if self.stamp[u] == self.generation && dist > self.dist[u] {
                 continue; // stale entry
             }
-            self.settled_total += 1;
             if let Some(c) = ctl {
                 c.check_settled()?;
             }
             if dist > bound {
-                return Ok(None);
+                break;
             }
-            if Some(NodeId::new(u)) == target {
-                return Ok(Some(dist));
+            let un = NodeId::new(u);
+            if visit(un, dist).is_break() {
+                break;
             }
-            for &sid in net.incident_segments(NodeId::new(u)) {
+            for &sid in net.incident_segments(un) {
                 // Invariant: `sid` comes from `net`'s own adjacency lists,
                 // so the segment is always present in the same network.
                 let seg = net.segment(sid).expect("incident segment exists"); // lint:allow(L1) reason=documented invariant above: sid is from this network's adjacency lists
-                if mode == TravelMode::Directed && !seg.traversable_from(NodeId::new(u)) {
+                if mode == TravelMode::Directed && !seg.traversable_from(un) {
                     continue;
                 }
-                let v = seg.other_endpoint(NodeId::new(u)).index();
+                let v = seg.other_endpoint(un).index();
                 let nd = dist + cost.segment_cost(seg);
                 self.touch(v);
                 if nd < self.dist[v] {
@@ -668,14 +497,14 @@ impl ShortestPathEngine {
                     self.prev_node[v] = u as u32;
                     self.prev_seg[v] = sid.index() as u32; // lint:allow(L4) reason=SegmentId wraps u32, so index() round-trips losslessly
                     self.heap.push(HeapEntry {
-                        priority: nd + h(net, v),
+                        priority: priority(v, nd),
                         dist: nd,
                         node: v as u32,
                     });
                 }
             }
         }
-        Ok(None)
+        Ok(())
     }
 }
 
@@ -685,7 +514,8 @@ impl ShortestPathEngine {
 ///
 /// Produced by [`ShortestPathEngine::distances_within`]; a node absent
 /// from the table is strictly farther from the source than the bound
-/// the table was built with.
+/// the table was built with (for a target-pruned table, this holds for
+/// the targets only).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct NodeDistances {
     /// `(node, distance)` pairs sorted by node index.
@@ -726,7 +556,6 @@ impl NodeDistances {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::geometry::Point;
     use crate::graph::RoadNetworkBuilder;
 
     /// Regression (neat-lint L3): a NaN priority must neither panic nor
@@ -771,34 +600,20 @@ mod tests {
         (b.build().unwrap(), ids)
     }
 
-    #[test]
-    fn distances_within_matches_point_queries_exactly() {
-        let (net, ids) = grid3();
-        let mut sp = ShortestPathEngine::new(&net);
-        let bound = 250.0;
-        let table = sp.distances_within(&net, ids[0], TravelMode::Undirected, bound);
-        assert!(!table.is_empty());
-        for i in 0..net.node_count() {
-            let n = NodeId::new(i);
-            let direct = sp.distance(&net, ids[0], n, TravelMode::Undirected);
-            match table.get(n) {
-                Some(d) => assert_eq!(Some(d), direct, "node {i}"),
-                None => assert!(
-                    direct.is_none_or(|d| d > bound),
-                    "node {i} missing from table but within bound"
-                ),
-            }
-        }
+    /// Unbounded, uncontrolled undirected A* distance.
+    fn dist(sp: &mut ShortestPathEngine, net: &RoadNetwork, a: NodeId, b: NodeId) -> Option<f64> {
+        sp.distance(net, a, b, TravelMode::Undirected, f64::INFINITY, None)
+            .unwrap()
     }
 
     #[test]
-    fn distances_within_ctl_charges_settlements_and_aborts() {
+    fn distances_within_charges_settlements_and_aborts() {
         use neat_runctl::{CancelToken, RunBudget};
         let (net, ids) = grid3();
         let mut sp = ShortestPathEngine::new(&net);
         let ctl = Control::unlimited();
         let t = sp
-            .distances_within_ctl(&net, ids[0], TravelMode::Undirected, 1e9, Some(&ctl))
+            .distances_within(&net, ids[0], TravelMode::Undirected, 1e9, None, Some(&ctl))
             .unwrap();
         assert_eq!(t.len(), 9, "whole grid within a huge bound");
         assert_eq!(ctl.settled(), 9, "one settlement charged per node");
@@ -806,7 +621,14 @@ mod tests {
             RunBudget::unlimited().with_max_settled_nodes(3),
             CancelToken::new(),
         );
-        let r = sp.distances_within_ctl(&net, ids[0], TravelMode::Undirected, 1e9, Some(&tight));
+        let r = sp.distances_within(
+            &net,
+            ids[0],
+            TravelMode::Undirected,
+            1e9,
+            None,
+            Some(&tight),
+        );
         assert!(r.is_err(), "budget aborts the expansion");
     }
 
@@ -815,15 +637,9 @@ mod tests {
         let (net, ids) = grid3();
         let mut sp = ShortestPathEngine::new(&net);
         // Corner to corner: 4 hops of 100 m.
-        let d = sp
-            .distance(&net, ids[0], ids[8], TravelMode::Undirected)
-            .unwrap();
-        assert_eq!(d, 400.0);
+        assert_eq!(dist(&mut sp, &net, ids[0], ids[8]), Some(400.0));
         // Self distance is zero.
-        assert_eq!(
-            sp.distance(&net, ids[4], ids[4], TravelMode::Undirected),
-            Some(0.0)
-        );
+        assert_eq!(dist(&mut sp, &net, ids[4], ids[4]), Some(0.0));
     }
 
     #[test]
@@ -831,7 +647,8 @@ mod tests {
         let (net, ids) = grid3();
         let mut sp = ShortestPathEngine::new(&net);
         let r = sp
-            .route(&net, ids[0], ids[8], TravelMode::Undirected)
+            .route(&net, ids[0], ids[8], TravelMode::Undirected, None)
+            .unwrap()
             .unwrap();
         assert_eq!(r.length, 400.0);
         assert_eq!(r.nodes.len(), 5);
@@ -854,9 +671,16 @@ mod tests {
         b.add_segment_detailed(a, c, 100.0, 10.0, true).unwrap();
         let net = b.build().unwrap();
         let mut sp = ShortestPathEngine::new(&net);
-        assert_eq!(sp.distance(&net, a, c, TravelMode::Directed), Some(100.0));
-        assert_eq!(sp.distance(&net, c, a, TravelMode::Directed), None);
-        assert_eq!(sp.distance(&net, c, a, TravelMode::Undirected), Some(100.0));
+        let inf = f64::INFINITY;
+        assert_eq!(
+            sp.distance(&net, a, c, TravelMode::Directed, inf, None),
+            Ok(Some(100.0))
+        );
+        assert_eq!(
+            sp.distance(&net, c, a, TravelMode::Directed, inf, None),
+            Ok(None)
+        );
+        assert_eq!(dist(&mut sp, &net, c, a), Some(100.0));
     }
 
     #[test]
@@ -864,12 +688,12 @@ mod tests {
         let (net, ids) = grid3();
         let mut sp = ShortestPathEngine::new(&net);
         assert_eq!(
-            sp.distance_bounded(&net, ids[0], ids[8], TravelMode::Undirected, 200.0),
-            None
+            sp.distance(&net, ids[0], ids[8], TravelMode::Undirected, 200.0, None),
+            Ok(None)
         );
         assert_eq!(
-            sp.distance_bounded(&net, ids[0], ids[8], TravelMode::Undirected, 400.0),
-            Some(400.0)
+            sp.distance(&net, ids[0], ids[8], TravelMode::Undirected, 400.0, None),
+            Ok(Some(400.0))
         );
     }
 
@@ -880,15 +704,17 @@ mod tests {
         let c = b.add_node(Point::new(100.0, 0.0));
         let net = b.build().unwrap();
         let mut sp = ShortestPathEngine::new(&net);
-        assert_eq!(sp.distance(&net, a, c, TravelMode::Undirected), None);
-        assert!(sp.route(&net, a, c, TravelMode::Undirected).is_none());
+        assert_eq!(dist(&mut sp, &net, a, c), None);
+        assert_eq!(sp.route(&net, a, c, TravelMode::Undirected, None), Ok(None));
     }
 
     #[test]
     fn distances_from_all_nodes() {
         let (net, ids) = grid3();
         let mut sp = ShortestPathEngine::new(&net);
-        let d = sp.distances_from(&net, ids[0], TravelMode::Undirected);
+        let d = sp
+            .distances_from(&net, ids[0], TravelMode::Undirected, None)
+            .unwrap();
         assert_eq!(d[ids[0].index()], 0.0);
         assert_eq!(d[ids[4].index()], 200.0);
         assert_eq!(d[ids[8].index()], 400.0);
@@ -899,18 +725,9 @@ mod tests {
         let (net, ids) = grid3();
         let mut sp = ShortestPathEngine::new(&net);
         for _ in 0..100 {
-            assert_eq!(
-                sp.distance(&net, ids[0], ids[8], TravelMode::Undirected),
-                Some(400.0)
-            );
-            assert_eq!(
-                sp.distance(&net, ids[3], ids[5], TravelMode::Undirected),
-                Some(200.0)
-            );
+            assert_eq!(dist(&mut sp, &net, ids[0], ids[8]), Some(400.0));
+            assert_eq!(dist(&mut sp, &net, ids[3], ids[5]), Some(200.0));
         }
-        assert!(sp.settled_nodes() > 0);
-        sp.reset_counters();
-        assert_eq!(sp.settled_nodes(), 0);
     }
 
     #[test]
@@ -919,7 +736,7 @@ mod tests {
         let mut sp = ShortestPathEngine::new(&net);
         for &a in &ids {
             for &b in &ids {
-                let dn = sp.distance(&net, a, b, TravelMode::Undirected).unwrap();
+                let dn = dist(&mut sp, &net, a, b).unwrap();
                 let de = net.euclidean_distance(a, b);
                 assert!(
                     de <= dn + 1e-9,
@@ -937,7 +754,7 @@ mod tests {
         let a = b.add_node(Point::new(0.0, 0.0));
         let small = b.build().unwrap();
         let mut sp = ShortestPathEngine::new(&small);
-        let _ = sp.distance(&net, a, a, TravelMode::Undirected);
+        let _ = dist(&mut sp, &net, a, a);
     }
 
     #[test]
@@ -954,7 +771,10 @@ mod tests {
         let net = b.build().unwrap();
         let mut sp = ShortestPathEngine::new(&net);
         // Shortest by distance: the direct road.
-        let short = sp.route(&net, a, d, TravelMode::Undirected).unwrap();
+        let short = sp
+            .route(&net, a, d, TravelMode::Undirected, None)
+            .unwrap()
+            .unwrap();
         assert_eq!(short.segments.len(), 1);
         // Fastest by time: the highway detour.
         let (fast, seconds) = sp
@@ -977,7 +797,8 @@ mod tests {
         let (net, ids) = grid3();
         let mut sp = ShortestPathEngine::new(&net);
         let short = sp
-            .route(&net, ids[0], ids[8], TravelMode::Undirected)
+            .route(&net, ids[0], ids[8], TravelMode::Undirected, None)
+            .unwrap()
             .unwrap();
         let (fast, _) = sp
             .fastest_route(&net, ids[0], ids[8], TravelMode::Undirected)
@@ -995,86 +816,83 @@ mod tests {
 
     #[test]
     fn unlimited_control_matches_uncontrolled_search() {
-        use neat_runctl::Control;
         let (net, ids) = grid3();
         let mut sp = ShortestPathEngine::new(&net);
         let ctl = Control::unlimited();
+        let un = TravelMode::Undirected;
         assert_eq!(
-            sp.distance_plain_ctl(&net, ids[0], ids[8], Some(&ctl)),
+            sp.distance_plain(&net, ids[0], ids[8], Some(&ctl)),
             Ok(Some(400.0))
         );
         assert_eq!(
-            sp.distance_bounded_ctl(
-                &net,
-                ids[0],
-                ids[8],
-                TravelMode::Undirected,
-                200.0,
-                Some(&ctl)
-            ),
+            sp.distance(&net, ids[0], ids[8], un, 200.0, Some(&ctl)),
             Ok(None)
         );
-        let route = sp
-            .route_ctl(&net, ids[0], ids[8], TravelMode::Undirected, Some(&ctl))
-            .unwrap()
-            .unwrap();
         assert_eq!(
-            route,
-            sp.route(&net, ids[0], ids[8], TravelMode::Undirected)
-                .unwrap()
+            sp.route(&net, ids[0], ids[8], un, Some(&ctl)),
+            sp.route(&net, ids[0], ids[8], un, None)
         );
-        let table = sp
-            .distances_from_ctl(&net, ids[0], TravelMode::Undirected, Some(&ctl))
-            .unwrap();
         assert_eq!(
-            table,
-            sp.distances_from(&net, ids[0], TravelMode::Undirected)
+            sp.distances_from(&net, ids[0], un, Some(&ctl)),
+            sp.distances_from(&net, ids[0], un, None)
         );
         assert!(ctl.settled() > 0, "settlements are charged to the control");
     }
 
+    /// The loop charges a settlement before its bound test: a search that
+    /// gives up at the bound still pays for the node that crossed it.
+    #[test]
+    fn settlement_past_the_bound_is_charged() {
+        let (net, ids) = grid3();
+        let mut sp = ShortestPathEngine::new(&net);
+        let ctl = Control::unlimited();
+        let table = sp
+            .distances_within(
+                &net,
+                ids[0],
+                TravelMode::Undirected,
+                100.0,
+                None,
+                Some(&ctl),
+            )
+            .unwrap();
+        // Nodes at 0, 100, 100 are inside; the first node at 200 is
+        // charged and ends the expansion.
+        assert_eq!(table.len(), 3);
+        assert_eq!(ctl.settled(), 4);
+    }
+
     #[test]
     fn settled_node_budget_interrupts_search() {
-        use neat_runctl::{CancelToken, Control, Interrupt, RunBudget};
+        use neat_runctl::{CancelToken, Interrupt, RunBudget};
         let (net, ids) = grid3();
         let mut sp = ShortestPathEngine::new(&net);
         let ctl = Control::new(
             RunBudget::unlimited().with_max_settled_nodes(2),
             CancelToken::new(),
         );
+        let un = TravelMode::Undirected;
         assert_eq!(
-            sp.distance_bounded_ctl(
-                &net,
-                ids[0],
-                ids[8],
-                TravelMode::Undirected,
-                f64::INFINITY,
-                Some(&ctl)
-            ),
+            sp.distance(&net, ids[0], ids[8], un, f64::INFINITY, Some(&ctl)),
             Err(Interrupt::SettledNodeBudgetExhausted)
         );
         // The interrupt is latched: a fresh query through the same control
         // fails immediately…
-        assert!(sp
-            .distances_from_ctl(&net, ids[0], TravelMode::Undirected, Some(&ctl))
-            .is_err());
+        assert!(sp.distances_from(&net, ids[0], un, Some(&ctl)).is_err());
         // …but the engine itself stays healthy for uncontrolled queries.
-        assert_eq!(
-            sp.distance(&net, ids[0], ids[8], TravelMode::Undirected),
-            Some(400.0)
-        );
+        assert_eq!(dist(&mut sp, &net, ids[0], ids[8]), Some(400.0));
     }
 
     #[test]
     fn cancelled_token_interrupts_route() {
-        use neat_runctl::{CancelToken, Control, Interrupt, RunBudget};
+        use neat_runctl::{CancelToken, Interrupt, RunBudget};
         let (net, ids) = grid3();
         let mut sp = ShortestPathEngine::new(&net);
         let token = CancelToken::new();
         token.cancel();
         let ctl = Control::new(RunBudget::unlimited(), token);
         assert_eq!(
-            sp.route_ctl(&net, ids[0], ids[8], TravelMode::Undirected, Some(&ctl)),
+            sp.route(&net, ids[0], ids[8], TravelMode::Undirected, Some(&ctl)),
             Err(Interrupt::Cancelled)
         );
     }

@@ -57,32 +57,6 @@ proptest! {
     }
 
     #[test]
-    fn rtree_matches_brute_force(seed in 0u64..15,
-                                 x in -200.0..1100.0f64,
-                                 y in -200.0..900.0f64,
-                                 radius in 20.0..500.0f64) {
-        let net = net_for(seed, 1.5);
-        let tree = neat_rnet::SegmentRTree::build(&net);
-        let p = Point::new(x, y);
-        let brute_nearest = net
-            .segments()
-            .map(|s| (s.id, point_segment_distance(p, net.position(s.a), net.position(s.b))))
-            .min_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)))
-            .unwrap();
-        let fast = tree.nearest(&net, p).unwrap();
-        prop_assert!((fast.distance - brute_nearest.1).abs() < 1e-9);
-        let mut brute_within: Vec<_> = net
-            .segments()
-            .filter(|s| point_segment_distance(p, net.position(s.a), net.position(s.b)) <= radius)
-            .map(|s| s.id)
-            .collect();
-        brute_within.sort();
-        let mut fast_within: Vec<_> = tree.within(&net, p, radius).iter().map(|h| h.segment).collect();
-        fast_within.sort();
-        prop_assert_eq!(fast_within, brute_within);
-    }
-
-    #[test]
     fn generated_networks_are_valid(seed in 0u64..30, ratio in 1.1..1.9f64) {
         let net = net_for(seed, ratio);
         prop_assert!(net.is_connected());

@@ -62,7 +62,11 @@ fn segment_hausdorff(
             return d;
         }
         *computations += 1;
-        let d = engine.distance(net, key.0, key.1, TravelMode::Undirected);
+        // Never interrupted: no control is attached.
+        let (a, b, mode) = (key.0, key.1, TravelMode::Undirected);
+        let d = engine
+            .distance(net, a, b, mode, f64::INFINITY, None)
+            .unwrap_or(None);
         cache.insert(key, d);
         d
     };

@@ -8,7 +8,7 @@
 //! | `L6` | lock discipline: acquisitions follow the `lint-locks.toml` rank order; no nested/double acquisition; no guard held across `Fs`/journal/spool I/O; raw `.lock()` only inside the sanctioned poison-policy helper |
 //! | `L7` | atomics discipline: no bare `Ordering::Relaxed` outside designated counter modules |
 //! | `L8` | unwind safety: every `catch_unwind`/`AssertUnwindSafe` site names its invariant-restoration path via `lint:allow(L8) reason=…` |
-//! | `L9` | parallel-fold purity: closures passed to `exec::map`/`map_ctx`/`try_map_ctl` don't mutate shared state outside the sanctioned `ShardedMap`/recorder/`Control` APIs |
+//! | `L9` | parallel-fold purity: closures passed to `Executor::try_map_ctl` mutate only their per-worker scratch and charge work only through the worker's recorder `Control` |
 //!
 //! All four run only on library-crate files (`rules::is_library_code`),
 //! over the `#[cfg(test)]`-stripped token stream, using the structural
@@ -577,11 +577,7 @@ pub fn rule_l8(path: &str, tokens: &[Token], out: &mut Vec<Violation>) {
 
 pub fn rule_l9(path: &str, tokens: &[Token], out: &mut Vec<Violation>) {
     for (i, t) in tokens.iter().enumerate() {
-        let is_fold = (t.is_ident("try_map_ctl") || t.is_ident("map_ctx"))
-            || (t.is_ident("map")
-                && matches!(receiver_of(tokens, i.wrapping_sub(1)), Receiver::Named(n)
-                    if n == "exec" || n == "executor"));
-        if !is_fold
+        if !t.is_ident("try_map_ctl")
             || i == 0
             || !tokens[i - 1].is_punct('.')
             || !tokens.get(i + 1).is_some_and(|n| n.is_punct('('))
@@ -621,9 +617,9 @@ fn l9_violation(path: &str, t: &Token, what: &str) -> Violation {
             "parallel-fold closure touches shared mutable state via {what}; the fold must \
              stay pure for bit-identical replay"
         ),
-        help: "route shared effects through the sanctioned APIs (ShardedMap \
-               compute-under-shard, the recorder, Control::check), or hoist the mutation \
-               out of the fold"
+        help: "keep per-worker state in the fold's scratch value and charge work through \
+               the worker's recorder Control (its check points), or hoist the mutation out \
+               of the fold"
             .into(),
     }
 }
@@ -770,7 +766,7 @@ leaf = true
 
     #[test]
     fn l9_bans_shared_mutation_in_folds() {
-        let bad = "fn f() { exec.map(n, |i| { total.fetch_add(1, o); i }); }";
+        let bad = "fn f() { exec.try_map_ctl(n, c, || (), |i, s, cc| { total.fetch_add(1, o); Ok(i) }); }";
         let (tokens, _) = lex(bad);
         let mut out = Vec::new();
         rule_l9(LIB, &tokens, &mut out);
@@ -783,10 +779,10 @@ leaf = true
         rule_l9(LIB, &tokens, &mut out);
         assert!(out.is_empty(), "{out:?}");
 
-        // Sanctioned APIs (Control::check, ShardedMap get_or_insert_with)
+        // Per-worker scratch and the recorder control's check points
         // don't trip the detector.
-        let ok = "fn f() { exec.try_map_ctl(n, c, || (), |i, s, cc| { cc.check()?; \
-                  Ok(memo.get_or_insert_with(k, || heavy(i))) }); }";
+        let ok = "fn f() { exec.try_map_ctl(n, c, Vec::new, |i, s, cc| { cc.check()?; \
+                  s.push(i); Ok(s.len()) }); }";
         let (tokens, _) = lex(ok);
         let mut out = Vec::new();
         rule_l9(LIB, &tokens, &mut out);

@@ -121,9 +121,9 @@ fn l9_bad_fires_on_every_impure_fold() {
     assert_eq!(
         got,
         vec![
-            ("L9", 5),  // fetch_add inside exec.map
+            ("L9", 5),  // fetch_add inside try_map_ctl
             ("L9", 12), // borrow_mut inside try_map_ctl
-            ("L9", 18), // unsafe block inside map_ctx
+            ("L9", 18), // unsafe block inside try_map_ctl
         ]
     );
 }

@@ -1,9 +1,9 @@
 //! L9 fixture: parallel folds touching shared mutable state.
 
-pub fn counting_fold(exec: &Executor, total: &AtomicU64) {
-    exec.map(8, |i| {
+pub fn counting_fold(exec: &Executor, total: &AtomicU64, ctl: &Control) {
+    exec.try_map_ctl(8, ctl, || (), |i, _scratch, _ctl| {
         total.fetch_add(i, Ordering::SeqCst);
-        i
+        Ok(i)
     });
 }
 
@@ -14,6 +14,6 @@ pub fn cell_fold(exec: &Executor, cell: &RefCell<u64>, ctl: &Control) {
     });
 }
 
-pub fn unsafe_fold(exec: &Executor) {
-    exec.map_ctx(2, || (), |i, _scratch| unsafe { wild(i) });
+pub fn unsafe_fold(exec: &Executor, ctl: &Control) {
+    exec.try_map_ctl(2, ctl, || (), |i, _scratch, _ctl| unsafe { wild(i) });
 }

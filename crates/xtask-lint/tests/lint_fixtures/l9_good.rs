@@ -1,11 +1,12 @@
-//! L9 fixture twin: folds stay pure; shared effects go through the
-//! sanctioned APIs (Control::check, ShardedMap compute-under-shard).
+//! L9 fixture twin: folds stay pure. A worker mutates only its own
+//! scratch state and charges its work through its recorder `Control`,
+//! whose charges the executor commits in item order.
 
-pub fn pure_fold(exec: &Executor, memo: &ShardedMap, ctl: &Control) {
-    exec.try_map_ctl(8, ctl, || (), |i, _scratch, c| {
-        c.check()?;
-        let (v, _fresh) = memo.get_or_insert_with(i, || expensive(i));
-        Ok(v)
+pub fn pure_fold(exec: &Executor, net: &RoadNetwork, ctl: &Control) {
+    exec.try_map_ctl(8, ctl, || ShortestPathEngine::new(net), |i, engine, cc| {
+        cc.check()?;
+        let from = NodeId::new(i);
+        Ok(engine.distances_from(net, from, TravelMode::Undirected, Some(cc))?)
     });
 }
 

@@ -30,7 +30,7 @@ proptest! {
         let net = small_net(seed);
         let (a, b) = (NodeId::new(a % net.node_count()), NodeId::new(b % net.node_count()));
         let mut sp = ShortestPathEngine::new(&net);
-        if let Some(dn) = sp.distance(&net, a, b, TravelMode::Undirected) {
+        if let Ok(Some(dn)) = sp.distance(&net, a, b, TravelMode::Undirected, f64::INFINITY, None) {
             let de = net.euclidean_distance(a, b);
             prop_assert!(de <= dn + 1e-6, "ELB violated: dE={de} dN={dn}");
         }
@@ -45,7 +45,9 @@ proptest! {
         let n = net.node_count();
         let (a, b, c) = (NodeId::new(a % n), NodeId::new(b % n), NodeId::new(c % n));
         let mut sp = ShortestPathEngine::new(&net);
-        let d = |sp: &mut ShortestPathEngine, x, y| sp.distance(&net, x, y, TravelMode::Undirected);
+        let d = |sp: &mut ShortestPathEngine, x, y| {
+            sp.distance(&net, x, y, TravelMode::Undirected, f64::INFINITY, None).unwrap()
+        };
         let (ab, ba) = (d(&mut sp, a, b), d(&mut sp, b, a));
         prop_assert_eq!(ab.is_some(), ba.is_some());
         if let (Some(ab), Some(ba)) = (ab, ba) {
@@ -65,7 +67,7 @@ proptest! {
         let n = net.node_count();
         let (a, b) = (NodeId::new(a % n), NodeId::new(b % n));
         let mut sp = ShortestPathEngine::new(&net);
-        if let Some(route) = sp.route(&net, a, b, TravelMode::Undirected) {
+        if let Ok(Some(route)) = sp.route(&net, a, b, TravelMode::Undirected, None) {
             prop_assert!(net.is_route(&route.segments));
             let sum: f64 = route
                 .segments
