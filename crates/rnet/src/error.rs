@@ -45,6 +45,12 @@ pub enum RnetError {
     },
     /// The network has no nodes, so the requested operation is undefined.
     EmptyNetwork,
+    /// The network has more segment ends (two per segment) than the
+    /// `u32` offsets of its adjacency layout can address.
+    TooManyArcs {
+        /// Number of segments in the network.
+        segments: usize,
+    },
 }
 
 impl fmt::Display for RnetError {
@@ -74,6 +80,10 @@ impl fmt::Display for RnetError {
             ),
             RnetError::NoPath { from, to } => write!(f, "no path from {from} to {to}"),
             RnetError::EmptyNetwork => write!(f, "road network has no nodes"),
+            RnetError::TooManyArcs { segments } => write!(
+                f,
+                "road network has {segments} segments, more than its adjacency offsets can address"
+            ),
         }
     }
 }
@@ -106,6 +116,7 @@ mod tests {
                 to: NodeId::new(1),
             },
             RnetError::EmptyNetwork,
+            RnetError::TooManyArcs { segments: 1 << 31 },
         ];
         for v in variants {
             assert!(!v.to_string().is_empty());

@@ -7,6 +7,15 @@
 //! provided directly: `L(e)` is [`RoadNetwork::adjacent_segments`],
 //! `L_n(e)` is [`RoadNetwork::adjacent_segments_at`], and `I(ei, ej)` is
 //! [`RoadNetwork::intersection_of`].
+//!
+//! Adjacency is one flat CSR (compressed sparse row) layout built once by
+//! [`RoadNetworkBuilder::build`]: per-junction row offsets into two
+//! parallel arrays, the incident segment ids (sorted by id within a row,
+//! served by [`RoadNetwork::incident_segments`]) and one 16-byte
+//! [`IncidentArc`] per segment end (far junction, length, direction flag,
+//! served by [`RoadNetwork::incident_arcs`]). A shortest-path search
+//! relaxes a junction's edges from one contiguous run of arcs instead of
+//! a per-junction list plus a segment lookup per edge.
 
 use crate::error::RnetError;
 use crate::geometry::{Bbox, Point};
@@ -76,6 +85,26 @@ impl Segment {
     }
 }
 
+/// One end of a segment as seen from a junction: a hop from that junction
+/// across the segment to its other endpoint.
+///
+/// [`RoadNetwork::incident_arcs`] lists them per junction, parallel to
+/// [`RoadNetwork::incident_segments`], so a search relaxes a junction's
+/// edges from one contiguous run without looking the segments up.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct IncidentArc {
+    /// The segment's other endpoint.
+    pub to: NodeId,
+    /// Whether the segment may be travelled from this junction to `to`
+    /// (`false` only at the `b` end of a one-way segment).
+    pub forward: bool,
+    /// The segment's length in metres.
+    pub length: f64,
+}
+
+// Four arcs fill a 64-byte cache line; the search loop's speed rests on it.
+const _: () = assert!(std::mem::size_of::<IncidentArc>() == 16);
+
 /// Aggregate statistics of a road network, matching the columns of Table I
 /// in the paper (junctions, segments, total and average segment length,
 /// junction degree).
@@ -120,8 +149,13 @@ pub struct NetworkStats {
 pub struct RoadNetwork {
     nodes: Vec<Node>,
     segments: Vec<Segment>,
-    /// Segments incident to each node, sorted by segment id.
-    incident: Vec<Vec<SegmentId>>,
+    /// CSR row bounds: the arcs leaving node `n` are
+    /// `arc_start[n]..arc_start[n + 1]` in `arc_seg` and `arcs`.
+    arc_start: Vec<u32>,
+    /// Segment of each arc; within a node's row, sorted by id.
+    arc_seg: Vec<SegmentId>,
+    /// The arc records, parallel to `arc_seg`.
+    arcs: Vec<IncidentArc>,
 }
 
 impl RoadNetwork {
@@ -171,14 +205,31 @@ impl RoadNetwork {
         self.segments.iter()
     }
 
+    /// The CSR row of junction `n` in `arc_seg` and `arcs`.
+    fn row(&self, n: NodeId) -> std::ops::Range<usize> {
+        self.arc_start[n.index()] as usize..self.arc_start[n.index() + 1] as usize
+    }
+
     /// Segments incident to junction `n`, sorted by id.
     pub fn incident_segments(&self, n: NodeId) -> &[SegmentId] {
-        &self.incident[n.index()]
+        &self.arc_seg[self.row(n)]
+    }
+
+    /// The arcs leaving junction `n`, one per incident segment, in the
+    /// order of [`RoadNetwork::incident_segments`].
+    pub fn incident_arcs(&self, n: NodeId) -> &[IncidentArc] {
+        &self.arcs[self.row(n)]
+    }
+
+    /// Speed limit of segment `id` in metres per second. Panics on an
+    /// invalid id; use [`RoadNetwork::segment`] for fallible lookup.
+    pub(crate) fn speed_limit(&self, id: SegmentId) -> f64 {
+        self.segments[id.index()].speed_limit
     }
 
     /// Junction degree of `n` (number of incident segments).
     pub fn degree(&self, n: NodeId) -> usize {
-        self.incident[n.index()].len()
+        self.row(n).len()
     }
 
     /// The paper's `L_n(e)`: segments adjacent to `seg` that connect to it
@@ -194,7 +245,7 @@ impl RoadNetwork {
             s.has_endpoint(n),
             "node {n} is not an endpoint of segment {seg}"
         );
-        self.incident[n.index()]
+        self.incident_segments(n)
             .iter()
             .copied()
             .filter(|&other| other != seg)
@@ -331,7 +382,7 @@ impl RoadNetwork {
     /// Computes the Table-I style aggregate statistics of this network.
     pub fn stats(&self) -> NetworkStats {
         let total: f64 = self.segments.iter().map(|s| s.length).sum();
-        let degrees: Vec<usize> = self.incident.iter().map(Vec::len).collect();
+        let max_degree = self.arc_start.windows(2).map(|w| w[1] - w[0]).max();
         let junctions = self.nodes.len();
         NetworkStats {
             junctions,
@@ -345,9 +396,9 @@ impl RoadNetwork {
             avg_degree: if junctions == 0 {
                 0.0
             } else {
-                degrees.iter().sum::<usize>() as f64 / junctions as f64
+                self.arcs.len() as f64 / junctions as f64
             },
-            max_degree: degrees.into_iter().max().unwrap_or(0),
+            max_degree: max_degree.map_or(0, |d| d as usize),
         }
     }
 
@@ -362,8 +413,8 @@ impl RoadNetwork {
         seen[0] = true;
         let mut count = 1usize;
         while let Some(n) = stack.pop() {
-            for &sid in self.incident_segments(n) {
-                let other = self.segments[sid.index()].other_endpoint(n);
+            for arc in self.incident_arcs(n) {
+                let other = arc.to;
                 if !seen[other.index()] {
                     seen[other.index()] = true;
                     count += 1;
@@ -498,28 +549,71 @@ impl RoadNetworkBuilder {
         Ok(pa.distance(pb))
     }
 
-    /// Finalises the network, computing per-node incidence lists.
+    /// Finalises the network, laying out the per-junction arcs.
+    ///
+    /// One counting-sort pass over the segments in id order fills each
+    /// junction's row, so every row comes out sorted by segment id.
     ///
     /// # Errors
     ///
-    /// Currently infallible in practice (all validation happens during
-    /// insertion) but returns `Result` so future invariants can be added
-    /// without breaking callers.
+    /// Returns [`RnetError::TooManyArcs`] when the network has more
+    /// segment ends than the `u32` row offsets can address.
     pub fn build(self) -> Result<RoadNetwork, RnetError> {
-        let mut incident = vec![Vec::new(); self.nodes.len()];
+        let total = arc_total(self.segments.len())?;
+        let n = self.nodes.len();
+        let mut arc_start = vec![0u32; n + 1];
         for s in &self.segments {
-            incident[s.a.index()].push(s.id);
-            incident[s.b.index()].push(s.id);
+            arc_start[s.a.index() + 1] += 1;
+            arc_start[s.b.index() + 1] += 1;
         }
-        for list in &mut incident {
-            list.sort();
+        for i in 0..n {
+            arc_start[i + 1] += arc_start[i];
         }
+        debug_assert_eq!(arc_start[n], total);
+        let mut next = arc_start[..n].to_vec();
+        let blank = IncidentArc {
+            to: NodeId::new(0),
+            forward: false,
+            length: 0.0,
+        };
+        let mut arc_seg = vec![SegmentId::new(0); total as usize];
+        let mut arcs = vec![blank; total as usize];
+        for s in &self.segments {
+            for (from, to, forward) in [(s.a, s.b, true), (s.b, s.a, !s.oneway)] {
+                let slot = &mut next[from.index()];
+                let i = *slot as usize;
+                *slot += 1;
+                arc_seg[i] = s.id;
+                arcs[i] = IncidentArc {
+                    to,
+                    forward,
+                    length: s.length,
+                };
+            }
+        }
+        debug_assert!(
+            arc_start
+                .windows(2)
+                .all(|w| arc_seg[w[0] as usize..w[1] as usize].is_sorted_by(|x, y| x < y)),
+            "every row is sorted by segment id"
+        );
         Ok(RoadNetwork {
             nodes: self.nodes,
             segments: self.segments,
-            incident,
+            arc_start,
+            arc_seg,
+            arcs,
         })
     }
+}
+
+/// The arc count of a network with `segments` segments (two ends each),
+/// or [`RnetError::TooManyArcs`] when the `u32` row offsets cannot hold it.
+fn arc_total(segments: usize) -> Result<u32, RnetError> {
+    segments
+        .checked_mul(2)
+        .and_then(|arcs| u32::try_from(arcs).ok())
+        .ok_or(RnetError::TooManyArcs { segments })
 }
 
 #[cfg(test)]
@@ -541,6 +635,19 @@ mod tests {
         let s25 = b.add_segment(n2, n5, 13.9).unwrap();
         let net = b.build().unwrap();
         (net, vec![n1, n2, n3, n4, n5], vec![s12, s23, s24, s25])
+    }
+
+    #[test]
+    fn arc_count_must_fit_the_row_offsets() {
+        assert_eq!(arc_total(0), Ok(0));
+        let most = (u32::MAX / 2) as usize;
+        assert_eq!(arc_total(most), Ok(u32::MAX - 1));
+        for segments in [most + 1, usize::MAX / 2 + 1, usize::MAX] {
+            assert_eq!(
+                arc_total(segments),
+                Err(RnetError::TooManyArcs { segments })
+            );
+        }
     }
 
     #[test]

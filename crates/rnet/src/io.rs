@@ -108,12 +108,19 @@ pub fn write_network<W: Write>(net: &RoadNetwork, mut w: W) -> Result<(), NetIoE
 ///
 /// Returns [`NetIoError::Parse`] with the line number for malformed input
 /// and [`NetIoError::Invalid`] for structurally invalid networks.
-pub fn read_network<R: BufRead>(r: R) -> Result<RoadNetwork, NetIoError> {
+pub fn read_network<R: BufRead>(mut r: R) -> Result<RoadNetwork, NetIoError> {
     let mut b = RoadNetworkBuilder::new();
-    for (lineno, line) in r.lines().enumerate() {
-        let lineno = lineno + 1;
-        let line = line?;
-        let line = line.trim();
+    // One line buffer and one field array for the whole file: a network
+    // file has a line per node and per segment (~260 k on Miami).
+    let mut buf = String::new();
+    let mut lineno = 0;
+    loop {
+        buf.clear();
+        if r.read_line(&mut buf)? == 0 {
+            break;
+        }
+        lineno += 1;
+        let line = buf.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
@@ -121,11 +128,19 @@ pub fn read_network<R: BufRead>(r: R) -> Result<RoadNetwork, NetIoError> {
             line: lineno,
             message,
         };
-        let fields: Vec<&str> = line.split(',').collect();
-        match fields.first().copied() {
-            Some("node") => {
-                if fields.len() != 4 {
-                    return Err(err(format!("node needs 4 fields, got {}", fields.len())));
+        // The first seven fields, and how many there are in all.
+        let mut fields = [""; 7];
+        let mut count = 0;
+        for field in line.split(',') {
+            if let Some(slot) = fields.get_mut(count) {
+                *slot = field;
+            }
+            count += 1;
+        }
+        match fields[0] {
+            "node" => {
+                if count != 4 {
+                    return Err(err(format!("node needs 4 fields, got {count}")));
                 }
                 let id: usize = fields[1]
                     .parse()
@@ -147,9 +162,9 @@ pub fn read_network<R: BufRead>(r: R) -> Result<RoadNetwork, NetIoError> {
                 }
                 b.add_node(Point::new(x, y));
             }
-            Some("segment") => {
-                if fields.len() != 7 {
-                    return Err(err(format!("segment needs 7 fields, got {}", fields.len())));
+            "segment" => {
+                if count != 7 {
+                    return Err(err(format!("segment needs 7 fields, got {count}")));
                 }
                 let id: usize = fields[1]
                     .parse()
@@ -160,12 +175,18 @@ pub fn read_network<R: BufRead>(r: R) -> Result<RoadNetwork, NetIoError> {
                         b.segment_count()
                     )));
                 }
-                let a: usize = fields[2]
-                    .parse()
-                    .map_err(|_| err(format!("bad endpoint `{}`", fields[2])))?;
-                let bb: usize = fields[3]
-                    .parse()
-                    .map_err(|_| err(format!("bad endpoint `{}`", fields[3])))?;
+                let endpoint = |field: &str| {
+                    let n: usize = field
+                        .parse()
+                        .map_err(|_| err(format!("bad endpoint `{field}`")))?;
+                    // `NodeId` is 32 bits wide; a wider index must not wrap
+                    // onto a real node.
+                    u32::try_from(n)
+                        .map(|_| NodeId::new(n))
+                        .map_err(|_| err(format!("endpoint {n} exceeds the node id range")))
+                };
+                let a = endpoint(fields[2])?;
+                let bb = endpoint(fields[3])?;
                 let length: f64 = fields[4]
                     .parse()
                     .map_err(|_| err(format!("bad length `{}`", fields[4])))?;
@@ -177,10 +198,11 @@ pub fn read_network<R: BufRead>(r: R) -> Result<RoadNetwork, NetIoError> {
                     "1" => true,
                     other => return Err(err(format!("bad oneway flag `{other}`"))),
                 };
-                b.add_segment_detailed(NodeId::new(a), NodeId::new(bb), length, speed, oneway)?;
+                b.add_segment_detailed(a, bb, length, speed, oneway)?;
             }
             other => {
-                return Err(err(format!("unknown record type {other:?}")));
+                // The message has always shown the kind as `Some("...")`.
+                return Err(err(format!("unknown record type {:?}", Some(other))));
             }
         }
     }
@@ -265,6 +287,75 @@ mod tests {
             read_network(text.as_bytes()),
             Err(NetIoError::Parse { line: 1, .. })
         ));
+    }
+
+    #[test]
+    fn out_of_range_endpoint_is_a_parse_error() {
+        // 2^32 would wrap onto n0 if narrowed to the 32-bit node id.
+        let head = "node,0,0.0,0.0\nnode,1,1000.0,0.0\n";
+        for seg in [
+            "segment,0,4294967296,1,1000,13.9,0",
+            "segment,0,0,4294967297,1000,13.9,0",
+        ] {
+            let err = read_network(format!("{head}{seg}\n").as_bytes()).unwrap_err();
+            assert!(matches!(err, NetIoError::Parse { line: 3, .. }), "{err}");
+            assert!(
+                err.to_string().contains("exceeds the node id range"),
+                "{err}"
+            );
+        }
+        // The largest 32-bit id parses, then fails as an unknown node.
+        let text = format!("{head}segment,0,0,4294967295,1000,13.9,0\n");
+        assert!(matches!(
+            read_network(text.as_bytes()),
+            Err(NetIoError::Invalid(RnetError::UnknownNode(_)))
+        ));
+    }
+
+    #[test]
+    fn error_texts_name_the_record_and_field() {
+        let cases = [
+            (
+                "node,0,0.0\n",
+                "parse error on line 1: node needs 4 fields, got 3",
+            ),
+            (
+                "node,0,0,0\nsegment,0,0\n",
+                "parse error on line 2: segment needs 7 fields, got 3",
+            ),
+            (
+                "node,0,0,0\nsegment,0,0,x,1,1,0,9\n",
+                "parse error on line 2: segment needs 7 fields, got 8",
+            ),
+            (
+                "node,0,0,0\n\n# c\nnode,x,0,0\n",
+                "parse error on line 4: bad node id `x`",
+            ),
+            (
+                "edge,0,1,2\n",
+                "parse error on line 1: unknown record type Some(\"edge\")",
+            ),
+            (
+                "node,0,0,0\nnode,1,9,0\nsegment,0,0,1,9,1,2\n",
+                "parse error on line 3: bad oneway flag `2`",
+            ),
+            (
+                "node,0,0,0\nsegment,0,-1,0,9,1,0\n",
+                "parse error on line 2: bad endpoint `-1`",
+            ),
+        ];
+        for (text, want) in cases {
+            let err = read_network(text.as_bytes()).unwrap_err();
+            assert_eq!(err.to_string(), want);
+        }
+    }
+
+    #[test]
+    fn crlf_line_endings_are_accepted() {
+        let text = "node,0,0.0,0.0\r\nnode,1,10.0,0.0\r\nsegment,0,0,1,10.0,5.0,1\r\n";
+        let net = read_network(text.as_bytes()).unwrap();
+        assert_eq!(net.segment_count(), 1);
+        assert!(net.segments().next().unwrap().oneway);
     }
 
     #[test]

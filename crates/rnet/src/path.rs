@@ -11,10 +11,14 @@
 //! with one search loop: Dijkstra, or A* with the admissible Euclidean
 //! heuristic (segment lengths are never shorter than their chords). The
 //! loop runs over reusable scratch buffers so repeated queries on large
-//! networks (Miami-Dade has >100 k junctions) do not reallocate.
+//! networks (Miami-Dade has >100 k junctions) do not reallocate, and
+//! relaxes each settled junction's edges from its contiguous row of
+//! [`IncidentArc`] records (far junction, length, direction) without
+//! looking the segments up — a shortest-distance search never reads a
+//! [`Segment`](crate::Segment).
 
 use crate::geometry::Point;
-use crate::graph::RoadNetwork;
+use crate::graph::{IncidentArc, RoadNetwork};
 use crate::ids::{NodeId, SegmentId};
 use neat_runctl::{Control, Interrupt};
 use serde::{Deserialize, Serialize};
@@ -42,10 +46,12 @@ pub enum CostModel {
 }
 
 impl CostModel {
-    fn segment_cost(self, seg: &crate::graph::Segment) -> f64 {
+    /// Cost of the hop `arc` along segment `sid`. Distance reads the arc
+    /// alone; travel time also reads the segment's speed limit.
+    fn arc_cost(self, net: &RoadNetwork, sid: SegmentId, arc: &IncidentArc) -> f64 {
         match self {
-            CostModel::Distance => seg.length,
-            CostModel::TravelTime => seg.travel_time(),
+            CostModel::Distance => arc.length,
+            CostModel::TravelTime => arc.length / net.speed_limit(sid),
         }
     }
 }
@@ -482,15 +488,13 @@ impl ShortestPathEngine {
             if visit(un, dist).is_break() {
                 break;
             }
-            for &sid in net.incident_segments(un) {
-                // Invariant: `sid` comes from `net`'s own adjacency lists,
-                // so the segment is always present in the same network.
-                let seg = net.segment(sid).expect("incident segment exists"); // lint:allow(L1) reason=documented invariant above: sid is from this network's adjacency lists
-                if mode == TravelMode::Directed && !seg.traversable_from(un) {
+            let arcs = net.incident_arcs(un);
+            for (&sid, arc) in net.incident_segments(un).iter().zip(arcs) {
+                if mode == TravelMode::Directed && !arc.forward {
                     continue;
                 }
-                let v = seg.other_endpoint(un).index();
-                let nd = dist + cost.segment_cost(seg);
+                let v = arc.to.index();
+                let nd = dist + cost.arc_cost(net, sid, arc);
                 self.touch(v);
                 if nd < self.dist[v] {
                     self.dist[v] = nd;

@@ -2,15 +2,16 @@
 //! Floyd–Warshall all-pairs distances on small seeded networks, in both
 //! travel modes.
 //!
-//! The grid generator makes no one-way streets, so each case rebuilds
-//! its network with a seeded share of segments one-way (in a random
-//! orientation). Each case also checks the plain ratio-1.6 grid with a
-//! random source and bound, the input of the former one-to-many table
-//! property.
+//! The grid generator makes no one-way streets, parallel segments or
+//! isolated junctions, so each case rebuilds its network with a seeded
+//! share of segments one-way (in a random orientation), a seeded share
+//! of segments doubled by a parallel twin, and one isolated junction at
+//! the end. Each case also checks the plain ratio-1.6 grid with a random
+//! source and bound, the input of the former one-to-many table property.
 
 use neat_rnet::netgen::{generate_grid_network, GridNetworkConfig};
 use neat_rnet::path::{ShortestPathEngine, TravelMode};
-use neat_rnet::{NodeId, RoadNetwork, RoadNetworkBuilder};
+use neat_rnet::{NodeId, Point, RoadNetwork, RoadNetworkBuilder};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -22,21 +23,42 @@ fn grid(rows: usize, cols: usize, seed: u64, ratio: f64) -> RoadNetwork {
 }
 
 /// `net` with a seeded `share` of its segments made one-way, half of
-/// them against the original orientation.
-fn with_oneways(net: &RoadNetwork, share: f64, rng: &mut ChaCha8Rng) -> RoadNetwork {
+/// them against the original orientation; a seeded share doubled by a
+/// parallel twin right after the original, so twins interleave with the
+/// other ids (each of the pair stretched up to 1.4×, with its own
+/// direction); and one isolated junction appended.
+fn with_edge_cases(net: &RoadNetwork, share: f64, rng: &mut ChaCha8Rng) -> RoadNetwork {
     let mut b = RoadNetworkBuilder::new();
     for node in net.nodes() {
         b.add_node(node.position);
     }
-    for s in net.segments() {
+    let far = net.nodes().map(|n| n.position.x).fold(0.0, f64::max);
+    b.add_node(Point::new(far + 100.0, 0.0));
+    let mut add = |from: NodeId, to: NodeId, length: f64, speed: f64, rng: &mut ChaCha8Rng| {
         let oneway = rng.gen_bool(share);
         let (from, to) = if oneway && rng.gen_bool(0.5) {
-            (s.b, s.a)
+            (to, from)
         } else {
-            (s.a, s.b)
+            (from, to)
         };
-        b.add_segment_detailed(from, to, s.length, s.speed_limit, oneway)
+        b.add_segment_detailed(from, to, length, speed, oneway)
             .unwrap();
+    };
+    for s in net.segments() {
+        if !rng.gen_bool(0.15) {
+            add(s.a, s.b, s.length, s.speed_limit, rng);
+            continue;
+        }
+        // Either twin may be the shorter one, and a third of the pairs tie.
+        let stretch = |rng: &mut ChaCha8Rng| s.length * rng.gen_range(1.0..1.4);
+        let first = stretch(rng);
+        let twin = if rng.gen_bool(1.0 / 3.0) {
+            first
+        } else {
+            stretch(rng)
+        };
+        add(s.a, s.b, first, s.speed_limit, rng);
+        add(s.a, s.b, twin, s.speed_limit, rng);
     }
     b.build().unwrap()
 }
@@ -205,7 +227,7 @@ proptest! {
                                           bound in 100.0..900.0f64,
                                           src in 0usize..1000) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ ((src as u64) << 8));
-        let net = with_oneways(&grid(rows, cols, seed, ratio), oneway_share, &mut rng);
+        let net = with_edge_cases(&grid(rows, cols, seed, ratio), oneway_share, &mut rng);
         let n = net.node_count();
         prop_assume!(n >= 2);
         check_all_queries(&net, NodeId::new(src % n), bound, &mut rng)?;
