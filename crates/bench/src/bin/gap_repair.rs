@@ -10,9 +10,12 @@
 use neat_bench::report::{secs, Report};
 use neat_bench::setup::network;
 use neat_bench::{parse_args, scaled, time};
-use neat_core::phase1::form_base_clusters;
+use neat_core::phase1::{form_base_clusters_parallel_with_policy, Phase1Output};
+use neat_core::ErrorPolicy;
 use neat_mobisim::generate_dataset;
 use neat_rnet::netgen::MapPreset;
+use neat_rnet::RoadNetwork;
+use neat_traj::Dataset;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -27,7 +30,7 @@ fn main() {
 
     // Ground-truth coverage from the dropout-free dataset.
     let full = generate_dataset(&net, &preset.sim_config(), seed + 1, "full");
-    let truth = form_base_clusters(&net, &full, true).expect("phase1");
+    let truth = phase1(&net, &full, true);
     let truth_segments = truth.base_clusters.len();
     report.line(format!(
         "dropout-free reference: {} trajectories covering {} segments",
@@ -40,9 +43,8 @@ fn main() {
         let mut cfg = preset.sim_config();
         cfg.sample_dropout = dropout;
         let data = generate_dataset(&net, &cfg, seed + 1, "drop");
-        let (with_repair, t_repair) =
-            time(|| form_base_clusters(&net, &data, true).expect("phase1"));
-        let (without, t_naive) = time(|| form_base_clusters(&net, &data, false).expect("phase1"));
+        let (with_repair, t_repair) = time(|| phase1(&net, &data, true));
+        let (without, t_naive) = time(|| phase1(&net, &data, false));
         rows.push(vec![
             format!("{:.0}%", dropout * 100.0),
             data.total_points().to_string(),
@@ -78,4 +80,11 @@ fn main() {
     report.line("expectation: repair holds coverage near 100% of the reference while naive splitting loses the segments traversed between surviving samples");
     let path = report.save().expect("write results");
     neat_bench::log::saved(&path);
+}
+
+/// Phase 1 on one thread under the strict policy.
+fn phase1(net: &RoadNetwork, data: &Dataset, insert_junctions: bool) -> Phase1Output {
+    form_base_clusters_parallel_with_policy(net, data, insert_junctions, 1, ErrorPolicy::Strict)
+        .expect("phase1")
+        .0
 }

@@ -57,5 +57,5 @@ pub mod store;
 pub use codec::{crc32, fnv64, Dec, Enc};
 pub use error::DurabilityError;
 pub use fs::{write_atomic, write_atomic_std, Fs, MemFs, StdFs};
-pub use retry::{Backoff, JitterBackoff, NoBackoff, RetryFs, RetryStats, SleepBackoff};
+pub use retry::{Backoff, JitterBackoff, NoBackoff, RetryFs, RetryStats};
 pub use store::{CompactionOutcome, JournalEntry, Recovery, RetentionReport, Store};

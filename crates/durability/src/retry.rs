@@ -29,35 +29,6 @@ pub trait Backoff: Send + Sync {
     fn pause(&self, attempt: u32);
 }
 
-/// Exponential backoff that actually sleeps: `base * 2^(attempt-1)`,
-/// capped at `max`.
-#[derive(Debug, Clone)]
-pub struct SleepBackoff {
-    base: Duration,
-    max: Duration,
-}
-
-impl SleepBackoff {
-    /// Backoff starting at `base`, doubling per attempt, capped at `max`.
-    pub fn new(base: Duration, max: Duration) -> Self {
-        SleepBackoff { base, max }
-    }
-}
-
-impl Default for SleepBackoff {
-    /// 10 ms base, 500 ms cap — tuned for local-disk hiccups, not WAN.
-    fn default() -> Self {
-        SleepBackoff::new(Duration::from_millis(10), Duration::from_millis(500))
-    }
-}
-
-impl Backoff for SleepBackoff {
-    fn pause(&self, attempt: u32) {
-        let factor = 1u32 << attempt.saturating_sub(1).min(16);
-        std::thread::sleep(self.base.saturating_mul(factor).min(self.max));
-    }
-}
-
 /// No pause at all — for tests and for callers that retry in a loop that
 /// already paces itself.
 #[derive(Debug, Clone, Copy, Default)]
@@ -283,7 +254,7 @@ fn is_transient(e: &io::Error) -> bool {
 /// assert_eq!(fs.retries(), 0); // MemFs never fails transiently
 /// ```
 #[derive(Debug)]
-pub struct RetryFs<F, B = SleepBackoff> {
+pub struct RetryFs<F, B> {
     inner: F,
     max_retries: u32,
     backoff: B,
@@ -314,13 +285,6 @@ impl<F: Clone, B: Clone> Clone for RetryFs<F, B> {
             retries: Arc::clone(&self.retries),
             exhausted: Arc::clone(&self.exhausted),
         }
-    }
-}
-
-impl<F: Fs> RetryFs<F> {
-    /// Wraps `inner` with the default [`SleepBackoff`].
-    pub fn with_default_backoff(inner: F, max_retries: u32) -> Self {
-        RetryFs::new(inner, max_retries, SleepBackoff::default())
     }
 }
 

@@ -178,6 +178,78 @@ impl DegradationStep {
     }
 }
 
+/// The degradation ladder: the record of a run that stopped after the
+/// phases in `ran` when `requested` was asked for. Batch and streaming
+/// runs both take their record from here.
+///
+/// `ran` holds the statuses of the phases that ran, in order; every one
+/// but the last finished, since a run stops at the first phase that did
+/// not. `elb_only` is phase 3's ELB-only flag. A requested phase past
+/// `ran` is `Skipped` when the last phase was interrupted, and
+/// `NotRequested` otherwise. The interrupt is the last phase's.
+pub(crate) fn ladder(
+    requested: Mode,
+    ran: &[PhaseStatus],
+    elb_only: bool,
+) -> (Completeness, Degradation, Option<Interrupt>) {
+    let why = ran.last().and_then(PhaseStatus::interrupt);
+    let wanted = match requested {
+        Mode::Base => 1,
+        Mode::Flow => 2,
+        Mode::Opt => 3,
+    };
+    let mut phases = [PhaseStatus::NotRequested; 3];
+    let mut steps = Vec::new();
+    for (i, phase) in phases.iter_mut().enumerate() {
+        match (ran.get(i), why) {
+            (Some(&status), _) => {
+                *phase = status;
+                if i == 2 && elb_only {
+                    steps.push(DegradationStep::ElbOnlyPhase3);
+                }
+                if let PhaseStatus::Partial { done, total, .. } = status {
+                    steps.push(match i {
+                        0 => DegradationStep::TruncatedPhase1 { done, total },
+                        1 => DegradationStep::TruncatedPhase2 { done, total },
+                        _ => DegradationStep::TruncatedPhase3 {
+                            grouped: done,
+                            total,
+                        },
+                    });
+                }
+            }
+            (None, Some(why)) if i < wanted => {
+                *phase = PhaseStatus::Skipped { why };
+                steps.push(if i == 1 {
+                    DegradationStep::SkippedPhase2
+                } else {
+                    DegradationStep::SkippedPhase3
+                });
+            }
+            (None, _) => {}
+        }
+    }
+    let delivered = match ran.len() {
+        0 | 1 => Mode::Base,
+        2 => Mode::Flow,
+        _ => Mode::Opt,
+    };
+    let [phase1, phase2, phase3] = phases;
+    (
+        Completeness {
+            phase1,
+            phase2,
+            phase3,
+        },
+        Degradation {
+            requested,
+            delivered,
+            steps,
+        },
+        why,
+    )
+}
+
 /// What the run delivered relative to what was asked for.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Degradation {
@@ -283,6 +355,63 @@ mod tests {
             steps: vec![DegradationStep::SkippedPhase3],
         };
         assert!(d3.is_degraded());
+    }
+
+    #[test]
+    fn ladder_records_each_stop() {
+        let why = Interrupt::OpBudgetExhausted;
+        let partial = PhaseStatus::Partial {
+            done: 2,
+            total: 5,
+            why,
+        };
+        let done = PhaseStatus::Complete;
+        // Phase 1 cut: base-NEAT, every later requested phase skipped.
+        let (c, d, i) = ladder(Mode::Opt, &[partial], false);
+        assert_eq!(i, Some(why));
+        assert_eq!(c.phase3, PhaseStatus::Skipped { why });
+        assert_eq!(d.delivered, Mode::Base);
+        assert_eq!(
+            d.steps,
+            vec![
+                DegradationStep::TruncatedPhase1 { done: 2, total: 5 },
+                DegradationStep::SkippedPhase2,
+                DegradationStep::SkippedPhase3,
+            ]
+        );
+        // A flow-NEAT request never mentions phase 3.
+        let (c, d, _) = ladder(Mode::Flow, &[partial], false);
+        assert_eq!(c.phase3, PhaseStatus::NotRequested);
+        assert_eq!(d.steps.len(), 2);
+        // Phase 3 degraded to ELB-only, then stopped.
+        let (c, d, i) = ladder(Mode::Opt, &[done, done, partial], true);
+        assert_eq!((c.phase3, d.delivered, i), (partial, Mode::Opt, Some(why)));
+        assert_eq!(
+            d.steps,
+            vec![
+                DegradationStep::ElbOnlyPhase3,
+                DegradationStep::TruncatedPhase3 {
+                    grouped: 2,
+                    total: 5
+                },
+            ]
+        );
+        // A finished run of the requested mode records nothing.
+        for (mode, ran) in [
+            (Mode::Base, &[done][..]),
+            (Mode::Flow, &[done, done][..]),
+            (Mode::Opt, &[done, done, done][..]),
+        ] {
+            let (c, d, i) = ladder(mode, ran, false);
+            assert_eq!(
+                (c, d, i),
+                (
+                    Completeness::complete_for(mode),
+                    Degradation::none(mode),
+                    None
+                )
+            );
+        }
     }
 
     #[test]

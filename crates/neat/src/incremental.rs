@@ -15,13 +15,12 @@
 
 use crate::checkpoint::{self, CheckpointError, CheckpointStore, ResumeReport};
 use crate::config::NeatConfig;
-use crate::control::{Completeness, Degradation, DegradationStep, PhaseStatus};
+use crate::control::{ladder, Completeness, Degradation, PhaseStatus};
 use crate::error::NeatError;
 use crate::model::{FlowCluster, TrajectoryCluster};
-use crate::phase1::{form_base_clusters_ctl, ResilienceCounters};
-use crate::phase2::form_flow_clusters_inner;
+use crate::phase1::ResilienceCounters;
 use crate::phase3::{refine_flow_clusters_ctl, ControlledRefinement, Phase3Stats};
-use crate::pipeline::Mode;
+use crate::pipeline::{batch_phases, timed_phase, Mode};
 use crate::retention::{self, ExpiryOutcome};
 use neat_durability::fs::Fs;
 use neat_rnet::RoadNetwork;
@@ -157,39 +156,31 @@ impl<'a> IncrementalNeat<'a> {
 
     /// Ingests a new batch of trajectories: Phases 1–2 run on the batch
     /// alone; the new flows join the retained set; Phase 3 re-refines the
-    /// combined set and returns the current trajectory clusters.
+    /// combined set and returns the current trajectory clusters. Runs
+    /// under [`ErrorPolicy::Strict`] and no [`Control`]; for another
+    /// policy, pass it to [`IncrementalNeat::ingest_controlled`] with
+    /// [`Control::unlimited`].
     ///
     /// # Errors
     ///
     /// Propagates configuration and unknown-segment errors from the
     /// underlying phases.
     pub fn ingest(&mut self, batch: &Dataset) -> Result<Vec<TrajectoryCluster>, NeatError> {
-        self.ingest_with_policy(batch, ErrorPolicy::Strict)
-    }
-
-    /// [`IncrementalNeat::ingest`] under an explicit [`ErrorPolicy`]:
-    /// with [`ErrorPolicy::Skip`] or [`ErrorPolicy::Repair`] a faulty
-    /// trajectory in the batch is isolated — and accumulated into
-    /// [`IncrementalNeat::resilience`] — instead of poisoning the whole
-    /// online session.
-    ///
-    /// # Errors
-    ///
-    /// Configuration errors always fail; data errors only under
-    /// [`ErrorPolicy::Strict`].
-    pub fn ingest_with_policy(
-        &mut self,
-        batch: &Dataset,
-        policy: ErrorPolicy,
-    ) -> Result<Vec<TrajectoryCluster>, NeatError> {
-        self.ingest_inner(batch, policy, None)
+        self.ingest_inner(batch, ErrorPolicy::Strict, None)
             .map(|outcome| outcome.clusters)
     }
 
-    /// [`IncrementalNeat::ingest_with_policy`] under a [`Control`]:
-    /// cooperative cancel points run through the batch's Phases 1–2 and
-    /// the combined refinement, and on interrupt the call degrades
-    /// gracefully instead of erroring.
+    /// [`IncrementalNeat::ingest`] under an [`ErrorPolicy`] and a
+    /// [`Control`].
+    ///
+    /// With [`ErrorPolicy::Skip`] or [`ErrorPolicy::Repair`] a faulty
+    /// trajectory in the batch is isolated — and accumulated into
+    /// [`IncrementalNeat::resilience`] — instead of poisoning the whole
+    /// online session. Cooperative cancel points run through the batch's
+    /// Phases 1–2 and the combined refinement, and on interrupt the call
+    /// degrades gracefully instead of erroring. The control's progress
+    /// observer sees each phase start and end, as under
+    /// [`Neat::run_controlled`](crate::Neat::run_controlled).
     ///
     /// State mutation is atomic: an interrupt during the batch's Phase 1
     /// or Phase 2 returns `applied == false` and leaves the retained
@@ -201,8 +192,9 @@ impl<'a> IncrementalNeat<'a> {
     ///
     /// # Errors
     ///
-    /// Same as [`IncrementalNeat::ingest_with_policy`]; interrupts are
-    /// reported inside the [`IngestOutcome`], never as errors.
+    /// Configuration errors always fail; data errors only under
+    /// [`ErrorPolicy::Strict`]. Interrupts are reported inside the
+    /// [`IngestOutcome`], never as errors.
     pub fn ingest_controlled(
         &mut self,
         batch: &Dataset,
@@ -213,116 +205,48 @@ impl<'a> IncrementalNeat<'a> {
     }
 
     /// The one ingest body, so a live apply and a journal replay run the
-    /// same code. Phase 1 always runs under a control (an unlimited one
-    /// on free runs); phases 2 and 3 get `ctl` as given.
+    /// same code: the batch driver's phases 1–2 on the batch alone, then
+    /// phase 3 over the retained flows once the batch is admitted.
     fn ingest_inner(
         &mut self,
         batch: &Dataset,
         policy: ErrorPolicy,
         ctl: Option<&Control>,
     ) -> Result<IngestOutcome, NeatError> {
-        self.config.validate()?;
         // Phases 1–2 run on the batch alone, without touching `self`.
-        let free = Control::unlimited();
-        let (p1, counters, s1) = form_base_clusters_ctl(
-            self.net,
-            batch,
-            self.config.insert_junctions,
-            self.config.threads,
-            policy,
-            ctl.unwrap_or(&free),
-        )?;
-        if !s1.is_complete() {
-            let why = s1.interrupt();
-            let mut steps = Vec::new();
-            if let PhaseStatus::Partial { done, total, .. } = s1 {
-                steps.push(DegradationStep::TruncatedPhase1 { done, total });
-            }
-            steps.push(DegradationStep::SkippedPhase2);
-            steps.push(DegradationStep::SkippedPhase3);
+        let run = batch_phases(self.net, &self.config, batch, Mode::Opt, policy, ctl)?;
+        let Some(s2) = run.phase2.filter(PhaseStatus::is_complete) else {
+            let (completeness, degradation, interrupt) = run.stop(Mode::Opt);
             return Ok(IngestOutcome {
                 clusters: Vec::new(),
                 applied: false,
-                completeness: Completeness {
-                    phase1: s1,
-                    phase2: PhaseStatus::Skipped {
-                        why: why.unwrap_or(Interrupt::Cancelled),
-                    },
-                    phase3: PhaseStatus::Skipped {
-                        why: why.unwrap_or(Interrupt::Cancelled),
-                    },
-                },
-                degradation: Degradation {
-                    requested: Mode::Opt,
-                    delivered: Mode::Base,
-                    steps,
-                },
-                interrupt: why,
+                completeness,
+                degradation,
+                interrupt,
             });
-        }
-        let (p2, s2) =
-            form_flow_clusters_inner(self.net, p1.base_clusters, &self.config, &mut None, ctl)?;
-        if !s2.is_complete() {
-            let why = s2.interrupt();
-            let mut steps = Vec::new();
-            if let PhaseStatus::Partial { done, total, .. } = s2 {
-                steps.push(DegradationStep::TruncatedPhase2 { done, total });
-            }
-            steps.push(DegradationStep::SkippedPhase3);
-            return Ok(IngestOutcome {
-                clusters: Vec::new(),
-                applied: false,
-                completeness: Completeness {
-                    phase1: s1,
-                    phase2: s2,
-                    phase3: PhaseStatus::Skipped {
-                        why: why.unwrap_or(Interrupt::Cancelled),
-                    },
-                },
-                degradation: Degradation {
-                    requested: Mode::Opt,
-                    delivered: Mode::Flow,
-                    steps,
-                },
-                interrupt: why,
-            });
-        }
+        };
 
         // Both batch phases completed: fold into the retained state.
-        let admitted = self.admit_flows(p2.flow_clusters);
+        let admitted = self.admit_flows(run.result.flow_clusters);
         self.flows.extend(admitted);
         self.batches += 1;
-        self.resilience.merge(&counters);
+        self.resilience.merge(&run.result.resilience);
 
         // Refinement reads the retained flows but never mutates them, so
         // a degraded or partial grouping here only affects this view.
-        let refined = self.refresh_view(ctl)?;
+        let (refined, _) = timed_phase(ctl, "phase3", || self.refresh_view(ctl))?;
         self.last_stats = refined.output.stats;
-        let s3 = refined.status;
-        let mut steps = Vec::new();
-        if refined.elb_only {
-            steps.push(DegradationStep::ElbOnlyPhase3);
-        }
-        if let PhaseStatus::Partial { done, total, .. } = s3 {
-            steps.push(DegradationStep::TruncatedPhase3 {
-                grouped: done,
-                total,
-            });
-        }
+        let (completeness, degradation, interrupt) = ladder(
+            Mode::Opt,
+            &[run.phase1, s2, refined.status],
+            refined.elb_only,
+        );
         Ok(IngestOutcome {
             clusters: refined.output.clusters,
             applied: true,
-            completeness: Completeness {
-                phase1: s1,
-                phase2: s2,
-                phase3: s3,
-            },
-            degradation: Degradation {
-                requested: Mode::Opt,
-                delivered: Mode::Opt,
-                steps,
-            },
-            interrupt: s3.interrupt(),
+            completeness,
+            degradation,
+            interrupt,
         })
     }
 
@@ -435,36 +359,12 @@ impl<'a> IncrementalNeat<'a> {
         })
     }
 
-    /// [`IncrementalNeat::expire_before`] plus durability: a watermark
-    /// advance is appended to `store`'s journal as an expiry operation so
-    /// a crash before the next snapshot replays it at the same point in
-    /// the operation stream. No-op expiries journal nothing.
-    ///
-    /// The same divergence-window invariant as
-    /// [`IncrementalNeat::ingest_logged`] applies when the append fails.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::Neat`] when refinement fails (nothing applied),
-    /// [`CheckpointError::Durability`] when the journal append fails (the
-    /// expiry *was* applied; repair with a checkpoint or restart).
-    pub fn expire_logged<F: Fs>(
-        &mut self,
-        watermark: f64,
-        store: &CheckpointStore<F>,
-    ) -> Result<ExpiryOutcome, CheckpointError> {
-        let outcome = self
-            .expire_before(watermark)
-            .map_err(CheckpointError::Neat)?;
-        if outcome.advanced {
-            store.log_expiry(self.batches as u64, watermark)?;
-        }
-        Ok(outcome)
-    }
-
-    /// [`IncrementalNeat::ingest_with_policy`] plus durability: after the
-    /// batch is successfully applied, it is appended to `store`'s batch
-    /// journal so a crash before the next snapshot replays it.
+    /// [`IncrementalNeat::ingest_controlled`] under an unlimited
+    /// [`Control`], plus durability: after the batch is successfully
+    /// applied, it is appended to `store`'s batch journal so a crash
+    /// before the next snapshot replays it. (A watermark advance is
+    /// journaled the same way: [`IncrementalNeat::expire_before`], then
+    /// [`CheckpointStore::log_expiry`] when it advanced.)
     ///
     /// The append happens strictly *after* the apply. A crash between
     /// the two loses only this batch's acknowledgement: resume reports
@@ -506,11 +406,11 @@ impl<'a> IncrementalNeat<'a> {
         policy: ErrorPolicy,
         store: &CheckpointStore<F>,
     ) -> Result<Vec<TrajectoryCluster>, CheckpointError> {
-        let clusters = self
-            .ingest_with_policy(batch, policy)
+        let outcome = self
+            .ingest_controlled(batch, policy, &Control::unlimited())
             .map_err(CheckpointError::Neat)?;
         store.log_batch(self.batches as u64, batch, policy)?;
-        Ok(clusters)
+        Ok(outcome.clusters)
     }
 
     /// Atomically snapshots the full retained state (flows, counters,
@@ -648,7 +548,7 @@ impl<'a> IncrementalNeat<'a> {
             } else {
                 let (batch, policy) = checkpoint::decode_batch(&entry.payload)?;
                 session
-                    .ingest_with_policy(&batch, policy)
+                    .ingest_controlled(&batch, policy, &Control::unlimited())
                     .map_err(|source| CheckpointError::Replay {
                         seq: entry.seq,
                         source,
@@ -802,7 +702,10 @@ mod tests {
         assert!(online.ingest(&b2).is_err());
         assert_eq!(online.batches(), 1);
         // Skip ingests the clean part of the batch.
-        let clusters = online.ingest_with_policy(&b2, ErrorPolicy::Skip).unwrap();
+        let clusters = online
+            .ingest_controlled(&b2, ErrorPolicy::Skip, &Control::unlimited())
+            .unwrap()
+            .clusters;
         assert_eq!(online.batches(), 2);
         assert_eq!(online.flow_clusters().len(), 2);
         assert!(!clusters.is_empty());
@@ -1062,7 +965,9 @@ mod tests {
             .unwrap();
         online.save_checkpoint(&store).unwrap();
         // Expiry and a later batch live only in the journal.
-        online.expire_logged(500.0, &store).unwrap();
+        let expiry = online.expire_before(500.0).unwrap();
+        assert!(expiry.advanced);
+        store.log_expiry(online.batches() as u64, 500.0).unwrap();
         let mut b2 = Dataset::new("b2");
         b2.extend(traverse_at(100, 3, &[8, 9, 10], 1000.0));
         let live = online
@@ -1094,11 +999,20 @@ mod tests {
         let net = chain_network(6, 100.0, 10.0);
         let store = CheckpointStore::open(MemFs::new(), "/ckpt").unwrap();
         let mut online = IncrementalNeat::new(&net, cfg());
-        let out = online.expire_logged(100.0, &store).unwrap();
+        // Journal each expiry the way the service does: only an advance.
+        let mut expire_journaled = |w: f64| {
+            let out = online.expire_before(w).unwrap();
+            if out.advanced {
+                store.log_expiry(online.batches() as u64, w).unwrap();
+            }
+            out
+        };
+        let out = expire_journaled(100.0);
         assert!(out.advanced);
-        let noop = online.expire_logged(50.0, &store).unwrap();
+        let noop = expire_journaled(50.0);
         assert!(!noop.advanced);
         assert_eq!(online.batches(), 1);
+        assert_eq!(store.store().load().unwrap().journal.len(), 1);
         let (resumed, report) = IncrementalNeat::resume(&net, cfg(), &store).unwrap();
         assert_eq!(report.replayed_batches, 1);
         assert_eq!(resumed.watermark(), Some(100.0));

@@ -138,54 +138,27 @@ fn group_into_clusters(
     }
 }
 
-/// Runs Phase 1: extracts t-fragments from every trajectory and groups
-/// them into density-sorted base clusters.
+/// Runs Phase 1 on `threads` workers with no [`Control`]: extracts
+/// t-fragments from every trajectory and groups them into density-sorted
+/// base clusters. The output (clusters *and* counters) is bit-identical
+/// at every thread count.
 ///
 /// When `insert_junctions` is `true`, junction points are inserted between
 /// consecutive samples on different segments (with shortest-path gap repair
 /// for non-contiguous segments); otherwise trajectories are split purely on
 /// segment-id changes.
 ///
-/// # Errors
-///
-/// Returns [`NeatError::UnknownSegment`] if a sample references a segment
-/// that is not part of `net`.
-pub fn form_base_clusters(
-    net: &RoadNetwork,
-    dataset: &Dataset,
-    insert_junctions: bool,
-) -> Result<Phase1Output, NeatError> {
-    form_base_clusters_with_policy(net, dataset, insert_junctions, ErrorPolicy::Strict)
-        .map(|(out, _)| out)
-}
-
-/// Policy-aware variant of [`form_base_clusters`]: under
-/// [`ErrorPolicy::Skip`] or [`ErrorPolicy::Repair`] a trajectory the
-/// network cannot place is isolated (dropped or point-repaired, counted
-/// in the returned [`ResilienceCounters`]) instead of aborting the run.
+/// Under [`ErrorPolicy::Skip`] or [`ErrorPolicy::Repair`] a trajectory
+/// the network cannot place is isolated (dropped or point-repaired,
+/// counted in the returned [`ResilienceCounters`]) instead of aborting
+/// the run.
 ///
 /// # Errors
 ///
-/// Under [`ErrorPolicy::Strict`], same as [`form_base_clusters`]; the
-/// other policies only fail on internal invariant violations (never on
-/// bad input data).
-pub fn form_base_clusters_with_policy(
-    net: &RoadNetwork,
-    dataset: &Dataset,
-    insert_junctions: bool,
-    policy: ErrorPolicy,
-) -> Result<(Phase1Output, ResilienceCounters), NeatError> {
-    form_base_clusters_parallel_with_policy(net, dataset, insert_junctions, 1, policy)
-}
-
-/// [`form_base_clusters_with_policy`] on `threads` workers. The output
-/// (clusters *and* counters) is bit-identical at every thread count.
-///
-/// # Errors
-///
-/// Same as [`form_base_clusters_with_policy`]; under
-/// [`ErrorPolicy::Strict`] the error of the earliest failing trajectory
-/// wins.
+/// Under [`ErrorPolicy::Strict`], [`NeatError::UnknownSegment`] if a
+/// sample references a segment that is not part of `net` (the error of
+/// the earliest failing trajectory wins); the other policies only fail on
+/// internal invariant violations (never on bad input data).
 pub fn form_base_clusters_parallel_with_policy(
     net: &RoadNetwork,
     dataset: &Dataset,
@@ -634,6 +607,25 @@ mod tests {
     use neat_rnet::Point;
     use neat_traj::TrajectoryId;
 
+    /// Phase 1 on one thread under `policy`, with no control.
+    fn one_thread(
+        net: &RoadNetwork,
+        data: &Dataset,
+        junctions: bool,
+        policy: ErrorPolicy,
+    ) -> Result<(Phase1Output, ResilienceCounters), NeatError> {
+        form_base_clusters_parallel_with_policy(net, data, junctions, 1, policy)
+    }
+
+    /// [`one_thread`] under [`ErrorPolicy::Strict`].
+    fn strict(
+        net: &RoadNetwork,
+        data: &Dataset,
+        junctions: bool,
+    ) -> Result<Phase1Output, NeatError> {
+        one_thread(net, data, junctions, ErrorPolicy::Strict).map(|(out, _)| out)
+    }
+
     fn loc(seg: usize, x: f64, t: f64) -> RoadLocation {
         RoadLocation::new(SegmentId::new(seg), Point::new(x, 0.0), t)
     }
@@ -708,7 +700,7 @@ mod tests {
             data.push(traj(id, vec![loc(0, 50.0, 0.0), loc(1, 150.0, 10.0)]));
         }
         data.push(traj(9, vec![loc(2, 250.0, 0.0), loc(3, 350.0, 10.0)]));
-        let out = form_base_clusters(&net, &data, true).unwrap();
+        let out = strict(&net, &data, true).unwrap();
         assert_eq!(out.base_clusters.len(), 4);
         let dc = out.dense_core().unwrap();
         assert_eq!(dc.density(), 3);
@@ -725,7 +717,7 @@ mod tests {
         let mut data = Dataset::new("d");
         data.push(traj(0, vec![loc(0, 10.0, 0.0), loc(0, 90.0, 9.0)]));
         data.push(traj(1, vec![loc(0, 10.0, 0.0), loc(1, 150.0, 20.0)]));
-        let out = form_base_clusters(&net, &data, true).unwrap();
+        let out = strict(&net, &data, true).unwrap();
         assert_eq!(out.fragment_count, 3);
         let total: usize = out.base_clusters.iter().map(BaseCluster::density).sum();
         assert_eq!(total, 3);
@@ -736,17 +728,17 @@ mod tests {
         let net = net5();
         let mut data = Dataset::new("d");
         data.push(traj(0, vec![loc(77, 0.0, 0.0), loc(77, 1.0, 1.0)]));
-        let err = form_base_clusters(&net, &data, true).unwrap_err();
+        let err = strict(&net, &data, true).unwrap_err();
         assert!(matches!(err, NeatError::UnknownSegment(s) if s.index() == 77));
         // Also without junction insertion.
-        let err = form_base_clusters(&net, &data, false).unwrap_err();
+        let err = strict(&net, &data, false).unwrap_err();
         assert!(matches!(err, NeatError::UnknownSegment(_)));
     }
 
     #[test]
     fn empty_dataset_gives_empty_output() {
         let net = net5();
-        let out = form_base_clusters(&net, &Dataset::new("e"), true).unwrap();
+        let out = strict(&net, &Dataset::new("e"), true).unwrap();
         assert!(out.base_clusters.is_empty());
         assert!(out.dense_core().is_none());
         assert_eq!(out.fragment_count, 0);
@@ -781,7 +773,7 @@ mod tests {
         let net = net5();
         let mut data = Dataset::new("d");
         data.push(traj(0, vec![loc(0, 10.0, 0.0), loc(1, 150.0, 10.0)]));
-        let out = form_base_clusters(&net, &data, false).unwrap();
+        let out = strict(&net, &data, false).unwrap();
         assert_eq!(out.fragment_count, 2);
         // Without junction insertion the first fragment ends at the sample.
         let s0_cluster = out
@@ -809,7 +801,7 @@ mod tests {
                 ],
             ));
         }
-        let seq = form_base_clusters(&net, &data, true).unwrap();
+        let seq = strict(&net, &data, true).unwrap();
         for threads in [1usize, 2, 4, 8] {
             let (par, _) = form_base_clusters_parallel_with_policy(
                 &net,
@@ -856,8 +848,7 @@ mod tests {
     fn skip_policy_isolates_bad_trajectories() {
         let net = net5();
         let data = mixed_dataset();
-        let (out, counters) =
-            form_base_clusters_with_policy(&net, &data, true, ErrorPolicy::Skip).unwrap();
+        let (out, counters) = one_thread(&net, &data, true, ErrorPolicy::Skip).unwrap();
         assert_eq!(counters.skipped, 2);
         assert_eq!(counters.repaired, 0);
         assert_eq!(
@@ -872,8 +863,7 @@ mod tests {
     fn repair_policy_drops_unknown_points_and_keeps_the_rest() {
         let net = net5();
         let data = mixed_dataset();
-        let (out, counters) =
-            form_base_clusters_with_policy(&net, &data, true, ErrorPolicy::Repair).unwrap();
+        let (out, counters) = one_thread(&net, &data, true, ErrorPolicy::Repair).unwrap();
         // 91 loses its unknown point but keeps 2 placeable ones; 90 has
         // nothing left and is skipped.
         assert_eq!(counters.repaired, 1);
@@ -887,8 +877,7 @@ mod tests {
     fn strict_policy_matches_legacy_failfast() {
         let net = net5();
         let data = mixed_dataset();
-        let err =
-            form_base_clusters_with_policy(&net, &data, true, ErrorPolicy::Strict).unwrap_err();
+        let err = one_thread(&net, &data, true, ErrorPolicy::Strict).unwrap_err();
         assert!(matches!(err, NeatError::UnknownSegment(_)));
     }
 
@@ -905,7 +894,7 @@ mod tests {
             vec![loc(0, 40.0, 0.0), loc(88, 999.0, 5.0), loc(1, 160.0, 12.0)],
         ));
         for policy in [ErrorPolicy::Skip, ErrorPolicy::Repair] {
-            let seq = form_base_clusters_with_policy(&net, &data, true, policy).unwrap();
+            let seq = one_thread(&net, &data, true, policy).unwrap();
             for threads in [2usize, 4, 8] {
                 let par =
                     form_base_clusters_parallel_with_policy(&net, &data, true, threads, policy)
@@ -1041,8 +1030,7 @@ mod tests {
         let data = mixed_dataset();
         // 3 clean trajectories × 2 samples + one skipped pair + one
         // 3-sample trajectory: every policy-processed sample counts.
-        let (out, _) =
-            form_base_clusters_with_policy(&net, &data, true, ErrorPolicy::Skip).unwrap();
+        let (out, _) = one_thread(&net, &data, true, ErrorPolicy::Skip).unwrap();
         assert_eq!(out.samples_scanned, 3 * 2 + 2 + 3);
     }
 

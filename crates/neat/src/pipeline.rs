@@ -7,14 +7,14 @@
 //! ran.
 
 use crate::config::NeatConfig;
-use crate::control::{Completeness, Degradation, DegradationStep, Outcome, PhaseStatus};
+use crate::control::{ladder, Completeness, Degradation, Outcome, PhaseStatus};
 use crate::error::NeatError;
 use crate::model::{BaseCluster, FlowCluster, TrajectoryCluster};
 use crate::phase1::{form_base_clusters_ctl, ResilienceCounters};
 use crate::phase2::form_flow_clusters_inner;
 use crate::phase3::{refine_flow_clusters_ctl, Phase3Stats};
 use neat_rnet::RoadNetwork;
-use neat_runctl::Control;
+use neat_runctl::{Control, Interrupt};
 use neat_traj::sanitize::ErrorPolicy;
 use neat_traj::Dataset;
 use serde::{Deserialize, Serialize};
@@ -165,7 +165,9 @@ impl<'a> Neat<'a> {
         &self.config
     }
 
-    /// Runs the pipeline on `dataset` in the requested mode.
+    /// Runs the pipeline on `dataset` in the requested mode, under
+    /// [`ErrorPolicy::Strict`] and no [`Control`]. For another policy,
+    /// pass it to [`Neat::run_controlled`] with [`Control::unlimited`].
     ///
     /// # Errors
     ///
@@ -173,43 +175,32 @@ impl<'a> Neat<'a> {
     /// [`NeatError::UnknownSegment`] when the dataset references segments
     /// missing from the network.
     pub fn run(&self, dataset: &Dataset, mode: Mode) -> Result<NeatResult, NeatError> {
-        self.run_with_policy(dataset, mode, ErrorPolicy::Strict)
+        self.run_inner(dataset, mode, ErrorPolicy::Strict, None)
+            .map(|outcome| outcome.result)
     }
 
-    /// Runs the pipeline under an explicit [`ErrorPolicy`]. Under
-    /// [`ErrorPolicy::Skip`] or [`ErrorPolicy::Repair`], per-trajectory
-    /// data faults (e.g. samples on segments missing from the network)
-    /// isolate the offending trajectory — counted in
+    /// Runs the pipeline under an [`ErrorPolicy`] and a [`Control`].
+    ///
+    /// Under [`ErrorPolicy::Skip`] or [`ErrorPolicy::Repair`],
+    /// per-trajectory data faults (e.g. samples on segments missing from
+    /// the network) isolate the offending trajectory — counted in
     /// [`NeatResult::resilience`] — instead of aborting the run.
+    ///
+    /// Cooperative cancel points thread through every long loop, and on
+    /// interrupt the run walks the degradation ladder (`opt-NEAT →
+    /// flow-NEAT → base-NEAT`; within Phase 3 `exhaustive → ELB-only →
+    /// skip refinement`) instead of aborting, returning the best valid
+    /// result computed so far.
+    ///
+    /// With an unlimited [`Control`] the result is bit-identical to a
+    /// free run ([`Neat::run`] under the same policy): every check is
+    /// observation-only until a limit fires.
     ///
     /// # Errors
     ///
     /// [`NeatError::InvalidConfig`] always fails early; data errors only
-    /// propagate under [`ErrorPolicy::Strict`].
-    pub fn run_with_policy(
-        &self,
-        dataset: &Dataset,
-        mode: Mode,
-        policy: ErrorPolicy,
-    ) -> Result<NeatResult, NeatError> {
-        self.run_inner(dataset, mode, policy, None)
-            .map(|outcome| outcome.result)
-    }
-
-    /// Runs the pipeline under a [`Control`]: cooperative cancel points
-    /// thread through every long loop, and on interrupt the run walks the
-    /// degradation ladder (`opt-NEAT → flow-NEAT → base-NEAT`; within
-    /// Phase 3 `exhaustive → ELB-only → skip refinement`) instead of
-    /// aborting, returning the best valid result computed so far.
-    ///
-    /// With an unlimited [`Control`] the result is bit-identical to
-    /// [`Neat::run_with_policy`]: every check is observation-only until a
-    /// limit fires.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Neat::run_with_policy`] — interrupts are *never* errors;
-    /// they are reported in the returned [`Outcome`].
+    /// propagate under [`ErrorPolicy::Strict`]. Interrupts are *never*
+    /// errors; they are reported in the returned [`Outcome`].
     pub fn run_controlled(
         &self,
         dataset: &Dataset,
@@ -220,8 +211,9 @@ impl<'a> Neat<'a> {
         self.run_inner(dataset, mode, policy, Some(ctl))
     }
 
-    /// The one pipeline body. Phases 2 and 3 get `ctl` as given, so a
-    /// free run polls no check point there.
+    /// The one pipeline body: phases 1–2 through [`batch_phases`], then
+    /// phase 3 on the batch's flows when `mode` asks for it and both
+    /// finished.
     fn run_inner(
         &self,
         dataset: &Dataset,
@@ -229,159 +221,151 @@ impl<'a> Neat<'a> {
         policy: ErrorPolicy,
         ctl: Option<&Control>,
     ) -> Result<Outcome, NeatError> {
-        self.config.validate()?;
-        let requested = mode;
-        let mut timings = PhaseTimings::default();
-        // Phase 1 always runs under a control; an unlimited one has no
-        // observer, so its phase hooks are no-ops.
-        let free = Control::unlimited();
-        let control = ctl.unwrap_or(&free);
-
-        control.phase_start("phase1");
-        let t0 = Instant::now(); // lint:allow(L5) reason=phase timing instrumentation only; never influences clustering
-        let (p1, resilience, s1) = form_base_clusters_ctl(
-            self.net,
-            dataset,
-            self.config.insert_junctions,
-            self.config.threads,
-            policy,
-            control,
-        )?;
-        timings.phase1 = t0.elapsed();
-        control.phase_end("phase1");
-        let mut result = NeatResult {
-            mode: Mode::Base,
-            base_clusters: Vec::new(),
-            base_cluster_count: p1.base_clusters.len(),
-            fragment_count: p1.fragment_count,
-            samples_scanned: p1.samples_scanned,
-            flow_clusters: Vec::new(),
-            discarded_flows: 0,
-            clusters: Vec::new(),
-            phase3_stats: Phase3Stats::default(),
-            timings,
-            resilience,
+        let run = batch_phases(self.net, &self.config, dataset, mode, policy, ctl)?;
+        let Some(s2) = run.phase2.filter(|s| mode == Mode::Opt && s.is_complete()) else {
+            let (completeness, degradation, interrupt) = run.stop(mode);
+            return Ok(Outcome {
+                result: run.result,
+                completeness,
+                degradation,
+                interrupt,
+            });
         };
-
-        if requested == Mode::Base || !s1.is_complete() {
-            // Ladder bottom: deliver base-NEAT, possibly truncated.
-            let why = s1.interrupt();
-            let mut steps = Vec::new();
-            if let PhaseStatus::Partial { done, total, .. } = s1 {
-                steps.push(DegradationStep::TruncatedPhase1 { done, total });
-            }
-            let mut phase2 = PhaseStatus::NotRequested;
-            let mut phase3 = PhaseStatus::NotRequested;
-            if let Some(w) = why {
-                if requested != Mode::Base {
-                    phase2 = PhaseStatus::Skipped { why: w };
-                    steps.push(DegradationStep::SkippedPhase2);
-                    if requested == Mode::Opt {
-                        phase3 = PhaseStatus::Skipped { why: w };
-                        steps.push(DegradationStep::SkippedPhase3);
-                    }
-                }
-            }
-            result.base_clusters = p1.base_clusters;
-            return Ok(Outcome {
-                result,
-                completeness: Completeness {
-                    phase1: s1,
-                    phase2,
-                    phase3,
-                },
-                degradation: Degradation {
-                    requested,
-                    delivered: Mode::Base,
-                    steps,
-                },
-                interrupt: why,
-            });
-        }
-
-        control.phase_start("phase2");
-        let t1 = Instant::now(); // lint:allow(L5) reason=phase timing instrumentation only; never influences clustering
-        let (p2, s2) =
-            form_flow_clusters_inner(self.net, p1.base_clusters, &self.config, &mut None, ctl)?;
-        result.timings.phase2 = t1.elapsed();
-        control.phase_end("phase2");
-        result.mode = Mode::Flow;
-        result.discarded_flows = p2.discarded;
-
-        if requested == Mode::Flow || !s2.is_complete() {
-            // Middle rung: deliver flow-NEAT, possibly with a truncated
-            // flow set (the flow being expanded at the interrupt was
-            // finished as a valid, shorter route).
-            let why = s2.interrupt();
-            let mut steps = Vec::new();
-            if let PhaseStatus::Partial { done, total, .. } = s2 {
-                steps.push(DegradationStep::TruncatedPhase2 { done, total });
-            }
-            let mut phase3 = PhaseStatus::NotRequested;
-            if requested == Mode::Opt {
-                if let Some(w) = why {
-                    phase3 = PhaseStatus::Skipped { why: w };
-                    steps.push(DegradationStep::SkippedPhase3);
-                }
-            }
-            result.flow_clusters = p2.flow_clusters;
-            return Ok(Outcome {
-                result,
-                completeness: Completeness {
-                    phase1: s1,
-                    phase2: s2,
-                    phase3,
-                },
-                degradation: Degradation {
-                    requested,
-                    delivered: Mode::Flow,
-                    steps,
-                },
-                interrupt: why,
-            });
-        }
-
-        control.phase_start("phase3");
-        let t2 = Instant::now(); // lint:allow(L5) reason=phase timing instrumentation only; never influences clustering
-        result.flow_clusters = p2.flow_clusters.clone();
-        let refined = refine_flow_clusters_ctl(self.net, p2.flow_clusters, &self.config, ctl)?;
-        result.timings.phase3 = t2.elapsed();
-        control.phase_end("phase3");
+        let mut result = run.result;
+        let (refined, took) = timed_phase(ctl, "phase3", || {
+            refine_flow_clusters_ctl(self.net, result.flow_clusters.clone(), &self.config, ctl)
+        })?;
+        result.timings.phase3 = took;
         result.mode = Mode::Opt;
         result.clusters = refined.output.clusters;
         result.phase3_stats = refined.output.stats;
-
-        let s3 = refined.status;
-        let mut steps = Vec::new();
-        if refined.elb_only {
-            steps.push(DegradationStep::ElbOnlyPhase3);
-        }
-        if let PhaseStatus::Partial { done, total, .. } = s3 {
-            steps.push(DegradationStep::TruncatedPhase3 {
-                grouped: done,
-                total,
-            });
-        }
+        let (completeness, degradation, interrupt) =
+            ladder(mode, &[run.phase1, s2, refined.status], refined.elb_only);
         Ok(Outcome {
             result,
-            completeness: Completeness {
-                phase1: s1,
-                phase2: s2,
-                phase3: s3,
-            },
-            degradation: Degradation {
-                requested,
-                delivered: Mode::Opt,
-                steps,
-            },
-            interrupt: s3.interrupt(),
+            completeness,
+            degradation,
+            interrupt,
         })
     }
+}
+
+/// What [`batch_phases`] ran: the outputs in a [`NeatResult`] whose
+/// `mode` is the last phase run, and each phase's status.
+pub(crate) struct BatchPhases {
+    /// Phase-1 and, when it ran, phase-2 outputs.
+    pub(crate) result: NeatResult,
+    /// Phase 1's status.
+    pub(crate) phase1: PhaseStatus,
+    /// Phase 2's status; `None` when it did not run.
+    pub(crate) phase2: Option<PhaseStatus>,
+}
+
+impl BatchPhases {
+    /// The ladder record of a run that stops after these phases.
+    pub(crate) fn stop(&self, requested: Mode) -> (Completeness, Degradation, Option<Interrupt>) {
+        match self.phase2 {
+            None => ladder(requested, &[self.phase1], false),
+            Some(s2) => ladder(requested, &[self.phase1, s2], false),
+        }
+    }
+}
+
+/// Phases 1–2 of one dataset, shared by [`Neat`] and
+/// [`IncrementalNeat`](crate::IncrementalNeat).
+///
+/// Phase 1 runs under `ctl`, or an unlimited control when there is none;
+/// phase 2 gets `ctl` as given, so a free run polls no check point
+/// there. Phase 2 runs when `mode` asks for more than base clusters and
+/// phase 1 finished; its input base clusters are moved, not cloned.
+pub(crate) fn batch_phases(
+    net: &RoadNetwork,
+    config: &NeatConfig,
+    dataset: &Dataset,
+    mode: Mode,
+    policy: ErrorPolicy,
+    ctl: Option<&Control>,
+) -> Result<BatchPhases, NeatError> {
+    config.validate()?;
+    let free;
+    let control = match ctl {
+        Some(c) => c,
+        None => {
+            free = Control::unlimited();
+            &free
+        }
+    };
+    let ((p1, resilience, phase1), took) = timed_phase(ctl, "phase1", || {
+        form_base_clusters_ctl(
+            net,
+            dataset,
+            config.insert_junctions,
+            config.threads,
+            policy,
+            control,
+        )
+    })?;
+    let mut result = NeatResult {
+        mode: Mode::Base,
+        base_cluster_count: p1.base_clusters.len(),
+        base_clusters: p1.base_clusters,
+        fragment_count: p1.fragment_count,
+        samples_scanned: p1.samples_scanned,
+        flow_clusters: Vec::new(),
+        discarded_flows: 0,
+        clusters: Vec::new(),
+        phase3_stats: Phase3Stats::default(),
+        timings: PhaseTimings {
+            phase1: took,
+            ..PhaseTimings::default()
+        },
+        resilience,
+    };
+    if mode == Mode::Base || !phase1.is_complete() {
+        return Ok(BatchPhases {
+            result,
+            phase1,
+            phase2: None,
+        });
+    }
+    let base = std::mem::take(&mut result.base_clusters);
+    let ((p2, phase2), took) = timed_phase(ctl, "phase2", || {
+        form_flow_clusters_inner(net, base, config, &mut None, ctl)
+    })?;
+    result.mode = Mode::Flow;
+    result.flow_clusters = p2.flow_clusters;
+    result.discarded_flows = p2.discarded;
+    result.timings.phase2 = took;
+    Ok(BatchPhases {
+        result,
+        phase1,
+        phase2: Some(phase2),
+    })
+}
+
+/// Runs one phase between `ctl`'s `phase_start`/`phase_end` hooks and
+/// times it.
+pub(crate) fn timed_phase<T>(
+    ctl: Option<&Control>,
+    name: &str,
+    run: impl FnOnce() -> Result<T, NeatError>,
+) -> Result<(T, Duration), NeatError> {
+    if let Some(c) = ctl {
+        c.phase_start(name);
+    }
+    let t = Instant::now(); // lint:allow(L5) reason=phase timing instrumentation only; never influences clustering
+    let out = run()?;
+    let took = t.elapsed();
+    if let Some(c) = ctl {
+        c.phase_end(name);
+    }
+    Ok((out, took))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::control::DegradationStep;
     use neat_rnet::netgen::chain_network;
     use neat_rnet::{Point, RoadLocation, SegmentId};
     use neat_traj::{Trajectory, TrajectoryId};
@@ -511,8 +495,20 @@ mod tests {
         assert!(opt.lines().count() >= 3);
     }
 
+    /// A free run under `policy`: the controlled entry with an
+    /// unlimited control.
+    fn run_with(
+        neat: &Neat,
+        data: &Dataset,
+        mode: Mode,
+        policy: ErrorPolicy,
+    ) -> Result<NeatResult, NeatError> {
+        neat.run_controlled(data, mode, policy, &Control::unlimited())
+            .map(|out| out.result)
+    }
+
     #[test]
-    fn run_with_policy_degrades_instead_of_aborting() {
+    fn skip_policy_degrades_instead_of_aborting() {
         let net = chain_network(6, 100.0, 10.0);
         let mut data = Dataset::new("d");
         data.extend(traverse(4, 0, &[0, 1, 2]));
@@ -530,13 +526,9 @@ mod tests {
         let neat = Neat::new(&net, config(1));
         // Strict (and plain run) abort.
         assert!(neat.run(&data, Mode::Opt).is_err());
-        assert!(neat
-            .run_with_policy(&data, Mode::Opt, ErrorPolicy::Strict)
-            .is_err());
+        assert!(run_with(&neat, &data, Mode::Opt, ErrorPolicy::Strict).is_err());
         // Skip isolates the bad trajectory and still clusters the rest.
-        let r = neat
-            .run_with_policy(&data, Mode::Opt, ErrorPolicy::Skip)
-            .unwrap();
+        let r = run_with(&neat, &data, Mode::Opt, ErrorPolicy::Skip).unwrap();
         assert_eq!(r.resilience.skipped, 1);
         assert_eq!(r.resilience.skipped_ids, vec![TrajectoryId::new(900)]);
         assert!(!r.flow_clusters.is_empty());
@@ -553,7 +545,7 @@ mod tests {
         let neat = Neat::new(&net, config(1));
         let strict = neat.run(&data, Mode::Flow).unwrap();
         for policy in [ErrorPolicy::Skip, ErrorPolicy::Repair] {
-            let r = neat.run_with_policy(&data, Mode::Flow, policy).unwrap();
+            let r = run_with(&neat, &data, Mode::Flow, policy).unwrap();
             assert!(r.resilience.is_clean());
             assert_eq!(r.flow_clusters, strict.flow_clusters, "{policy:?}");
             assert!(!r.summary(&net).contains("resilience"));

@@ -163,7 +163,7 @@ proptest! {
                     let batch = walk_dataset(&net, &walks, t, 100 * k as u64);
                     t += 1000.0 * (walks.len() as f64 + 1.0);
                     if *kind == 0 {
-                        s.ingest_with_policy(&batch, ErrorPolicy::Strict).unwrap();
+                        s.ingest(&batch).unwrap();
                     } else if let Some(degraded) = ingest_elb_only(&mut s, &batch) {
                         prop_assert_eq!(degraded.is_empty(), s.flow_clusters().is_empty());
                         prop_assert_eq!(&s.current_clusters().unwrap(), &fresh(&net, &s));
@@ -207,13 +207,13 @@ proptest! {
         prop_assume!(!a.is_empty() && !b.is_empty());
 
         let mut early = IncrementalNeat::new(&net, config());
-        early.ingest_with_policy(&a, ErrorPolicy::Strict).unwrap();
+        early.ingest(&a).unwrap();
         early.expire_before(w).unwrap();
-        early.ingest_with_policy(&b, ErrorPolicy::Strict).unwrap();
+        early.ingest(&b).unwrap();
 
         let mut late = IncrementalNeat::new(&net, config());
-        late.ingest_with_policy(&a, ErrorPolicy::Strict).unwrap();
-        late.ingest_with_policy(&b, ErrorPolicy::Strict).unwrap();
+        late.ingest(&a).unwrap();
+        late.ingest(&b).unwrap();
         late.expire_before(w).unwrap();
 
         prop_assert_eq!(fingerprint(&early), fingerprint(&late));
@@ -233,7 +233,7 @@ proptest! {
         prop_assume!(!data.is_empty());
 
         let mut s = IncrementalNeat::new(&net, config());
-        s.ingest_with_policy(&data, ErrorPolicy::Strict).unwrap();
+        s.ingest(&data).unwrap();
         s.expire_before(w).unwrap();
         let once = fingerprint(&s);
         let ops = s.batches();

@@ -732,25 +732,9 @@ pub fn dataset_fixes(dataset: &Dataset) -> Vec<RawFix> {
 /// Propagates I/O failures from the writer.
 pub fn write_quarantine<W: Write>(
     quarantined: &[QuarantinedTrajectory],
-    mut w: W,
+    w: W,
 ) -> Result<(), TrajError> {
-    writeln!(w, "# quarantine: {} trajectories", quarantined.len())?;
-    writeln!(w, "# trid,sid,x,y,t")?;
-    for q in quarantined {
-        writeln!(w, "# {}: {}", q.id, q.reason)?;
-        for fix in &q.fixes {
-            writeln!(
-                w,
-                "{},{},{},{},{}",
-                fix.trid,
-                fix.segment.index(),
-                fix.position.x,
-                fix.position.y,
-                fix.time
-            )?;
-        }
-    }
-    Ok(())
+    write_quarantine_capped(quarantined, w, None).map(|_| ())
 }
 
 /// What a capped quarantine write actually did.
@@ -778,8 +762,8 @@ impl QuarantineWriteReport {
 /// rest are dropped and counted, and a trailer comment records the drop
 /// so a truncated file is self-describing.
 ///
-/// With `max_bytes = None` (or a budget every block fits under) the
-/// output is byte-identical to [`write_quarantine`].
+/// With `max_bytes = None` (or a budget every block fits under) every
+/// block is written: [`write_quarantine`] is this writer with `None`.
 ///
 /// # Errors
 ///
@@ -1157,6 +1141,45 @@ mod tests {
                 fixes: clean_run(i as u64, 3),
             })
             .collect()
+    }
+
+    /// The exact bytes of a two-trajectory quarantine file: header,
+    /// column line, then each reject's reason comment and its fixes as
+    /// `trid,sid,x,y,t` rows, floats in shortest round-trip form.
+    #[test]
+    fn quarantine_file_bytes_are_pinned() {
+        let qs = vec![
+            QuarantinedTrajectory {
+                id: TrajectoryId::new(7),
+                reason: "teleport".into(),
+                fixes: vec![
+                    RawFix::new(7, SegmentId::new(3), Point::new(12.5, -0.25), 0.0),
+                    RawFix::new(7, SegmentId::new(4), Point::new(1e6, 3.0), 1.5),
+                ],
+            },
+            QuarantinedTrajectory {
+                id: TrajectoryId::new(42),
+                reason: "too short: 1 point".into(),
+                fixes: vec![RawFix::new(
+                    42,
+                    SegmentId::new(0),
+                    Point::new(0.1, 0.2),
+                    99.0,
+                )],
+            },
+        ];
+        let mut out = Vec::new();
+        write_quarantine(&qs, &mut out).unwrap();
+        assert_eq!(
+            String::from_utf8(out).unwrap(),
+            "# quarantine: 2 trajectories\n\
+             # trid,sid,x,y,t\n\
+             # tr7: teleport\n\
+             7,3,12.5,-0.25,0\n\
+             7,4,1000000,3,1.5\n\
+             # tr42: too short: 1 point\n\
+             42,0,0.1,0.2,99\n"
+        );
     }
 
     #[test]

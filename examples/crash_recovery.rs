@@ -81,7 +81,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Referee: an uninterrupted run over the same batches. ---------
     let mut straight = IncrementalNeat::new(&net, config);
     for batch in &batches {
-        straight.ingest_with_policy(batch, ErrorPolicy::Strict)?;
+        straight.ingest(batch)?;
     }
     let straight_clusters = straight.current_clusters()?;
 

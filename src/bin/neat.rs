@@ -158,8 +158,8 @@ enum OverrunPolicy {
 }
 
 /// Builds the execution [`Control`] from the budget flags, or `None`
-/// when no budget flag was given (the run stays on the uncontrolled,
-/// bit-identical path).
+/// when no budget flag was given (the run then gets an unlimited
+/// control, which is bit-identical to a free run).
 fn build_control(
     flags: &HashMap<String, String>,
 ) -> Result<Option<(Control, OverrunPolicy)>, String> {
@@ -404,10 +404,11 @@ fn cluster(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
     }
     if flags.contains_key("trace") && mode != Mode::Base {
         // Re-run phases 1–2 with tracing to print the merge decisions.
-        let (p1, _) = neat_repro::neat::phase1::form_base_clusters_with_policy(
+        let (p1, _) = neat_repro::neat::phase1::form_base_clusters_parallel_with_policy(
             &net,
             &data,
             config.insert_junctions,
+            1,
             policy,
         )
         .map_err(|e| e.to_string())?;
@@ -424,40 +425,34 @@ fn cluster(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
             println!("  {e:?}");
         }
     }
-    let neat = Neat::new(&net, config);
-    let (result, outcome_meta, exit) = match control {
-        None => {
-            let result = neat
-                .run_with_policy(&data, mode, policy)
-                .map_err(|e| e.to_string())?;
-            (result, None, ExitCode::SUCCESS)
-        }
-        Some((ctl, overrun_policy)) => {
-            let out = neat
-                .run_controlled(&data, mode, policy, &ctl)
-                .map_err(|e| e.to_string())?;
-            let exit = match out.interrupt {
-                None => ExitCode::SUCCESS,
-                Some(i) => {
-                    if overrun_policy == OverrunPolicy::Fail {
-                        return Err(format!("run interrupted: {} (--on-overrun fail)", i.name()));
-                    }
-                    println!(
-                        "overrun: {} — delivered {} (requested {})",
-                        i.name(),
-                        out.degradation.delivered.name(),
-                        out.degradation.requested.name()
-                    );
-                    for step in &out.degradation.steps {
-                        println!("  degradation: {}", step.label());
-                    }
-                    ExitCode::from(EXIT_DEGRADED)
-                }
-            };
-            let meta = outcome_json(&out);
-            (out.result, Some(meta), exit)
+    // Without budget flags the run is free: an unlimited control never
+    // fires, and the JSON carries no outcome fields.
+    let budgeted = control.is_some();
+    let (ctl, overrun_policy) =
+        control.unwrap_or_else(|| (Control::unlimited(), OverrunPolicy::Degrade));
+    let out = Neat::new(&net, config)
+        .run_controlled(&data, mode, policy, &ctl)
+        .map_err(|e| e.to_string())?;
+    let exit = match out.interrupt {
+        None => ExitCode::SUCCESS,
+        Some(i) => {
+            if overrun_policy == OverrunPolicy::Fail {
+                return Err(format!("run interrupted: {} (--on-overrun fail)", i.name()));
+            }
+            println!(
+                "overrun: {} — delivered {} (requested {})",
+                i.name(),
+                out.degradation.delivered.name(),
+                out.degradation.requested.name()
+            );
+            for step in &out.degradation.steps {
+                println!("  degradation: {}", step.label());
+            }
+            ExitCode::from(EXIT_DEGRADED)
         }
     };
+    let outcome_meta = budgeted.then(|| outcome_json(&out));
+    let result = out.result;
     print!("{}", result.summary(&net));
     if mode != Mode::Base {
         for (i, f) in result.flow_clusters.iter().enumerate() {

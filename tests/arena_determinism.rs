@@ -7,9 +7,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use neat_repro::mobisim::{generate_dataset, SimConfig};
-use neat_repro::neat::phase1::{
-    form_base_clusters_ctl, form_base_clusters_parallel_with_policy, form_base_clusters_with_policy,
-};
+use neat_repro::neat::phase1::{form_base_clusters_ctl, form_base_clusters_parallel_with_policy};
 use neat_repro::neat::{ErrorPolicy, PhaseStatus, ResilienceCounters};
 use neat_repro::rnet::netgen::{generate_grid_network, GridNetworkConfig};
 use neat_repro::rnet::{Point, RoadLocation, RoadNetwork, SegmentId};
@@ -45,7 +43,7 @@ fn phase1_is_bit_identical_across_threads_on_the_chaos_fixture() {
     for insert_junctions in [false, true] {
         for policy in [ErrorPolicy::Strict, ErrorPolicy::Skip, ErrorPolicy::Repair] {
             let (reference, ref_counters) =
-                form_base_clusters_with_policy(net, data, insert_junctions, policy)
+                form_base_clusters_parallel_with_policy(net, data, insert_junctions, 1, policy)
                     .expect("sequential phase 1");
             assert_eq!(reference.samples_scanned, total_samples);
             let want = format!("{reference:#?}\n{ref_counters:#?}");
@@ -202,9 +200,14 @@ fn assert_cuts_at_boundaries(
             PhaseStatus::Complete
         };
         assert_eq!(run.status, want, "junctions={insert_junctions} k={k}");
-        let (out, counters) =
-            form_base_clusters_with_policy(net, &prefix(data, k), insert_junctions, policy)
-                .unwrap();
+        let (out, counters) = form_base_clusters_parallel_with_policy(
+            net,
+            &prefix(data, k),
+            insert_junctions,
+            1,
+            policy,
+        )
+        .unwrap();
         assert_eq!(
             (&run.output, &run.counters),
             (&format!("{out:#?}"), &counters),

@@ -16,7 +16,7 @@
 //! * **Deterministic completed prefix** — re-running with the same
 //!   arming reproduces the outcome `Debug`-byte for byte.
 //! * **Observation is free** — an unlimited [`Control`] is bit-identical
-//!   to the uncontrolled [`Neat::run_with_policy`].
+//!   to the uncontrolled [`Neat::run`].
 //!
 //! The default tests arm *every* check point of a small fixture
 //! (exhaustive matrix) and a dense-head-plus-stride sample of a larger
@@ -26,14 +26,16 @@
 //! written to `target/chaos-artifacts/` for offline inspection.
 
 use neat_repro::mobisim::{generate_dataset, SimConfig};
-use neat_repro::neat::{Completeness, ErrorPolicy, Mode, Neat, NeatConfig, NeatResult, Outcome};
+use neat_repro::neat::{
+    Completeness, ErrorPolicy, IncrementalNeat, Mode, Neat, NeatConfig, NeatResult, Outcome,
+};
 use neat_repro::rnet::netgen::{generate_grid_network, GridNetworkConfig, MapPreset};
 use neat_repro::rnet::RoadNetwork;
-use neat_repro::runctl::{CancelToken, Control, OverrunMode, RunBudget};
+use neat_repro::runctl::{CancelToken, CollectingProgress, Control, OverrunMode, RunBudget};
 use neat_repro::traj::Dataset;
 use proptest::prelude::*;
 use std::path::PathBuf;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 const MODES: [Mode; 3] = [Mode::Base, Mode::Flow, Mode::Opt];
 
@@ -369,9 +371,7 @@ fn unlimited_control_matches_the_free_run_on_the_chaos_fixture() {
     let cfg = neat_config();
     let neat = Neat::new(net, cfg);
     for mode in MODES {
-        let free = neat
-            .run_with_policy(data, mode, ErrorPolicy::Strict)
-            .expect("free run");
+        let free = neat.run(data, mode).expect("free run");
         let ctl = Control::unlimited();
         let out = neat
             .run_controlled(data, mode, ErrorPolicy::Strict, &ctl)
@@ -383,6 +383,48 @@ fn unlimited_control_matches_the_free_run_on_the_chaos_fixture() {
             mode.name()
         );
         assert!(out.is_complete());
+    }
+}
+
+/// Streaming output equals batch output for one batch: under every op
+/// budget, in `Degrade` and `Partial` overrun modes, a fresh
+/// [`IncrementalNeat`] ingesting the chaos fixture as its only batch
+/// reports the same completeness, degradation and interrupt as opt-NEAT
+/// on it, applies the batch exactly when opt-NEAT was delivered, then
+/// returns the same clusters, and its progress observer sees the same
+/// events.
+#[test]
+fn one_batch_stream_matches_batch_opt_neat_under_every_op_budget() {
+    let (net, data) = chaos_fixture();
+    let cfg = neat_config();
+    let total = probe_ops(net, data, &cfg, Mode::Opt);
+    for overrun in [OverrunMode::Degrade, OverrunMode::Partial] {
+        for at in 0..=total + 1 {
+            let armed = || {
+                let events = Arc::new(CollectingProgress::new());
+                let ctl = Control::new(RunBudget::unlimited().with_max_ops(at), CancelToken::new())
+                    .with_overrun(overrun)
+                    .with_progress(events.clone());
+                (ctl, events)
+            };
+            let id = format!("{overrun:?} max_ops={at}");
+            let (ctl, batch_events) = armed();
+            let batch = Neat::new(net, cfg)
+                .run_controlled(data, Mode::Opt, ErrorPolicy::Strict, &ctl)
+                .expect("batch run");
+            let (ctl, stream_events) = armed();
+            let stream = IncrementalNeat::new(net, cfg)
+                .ingest_controlled(data, ErrorPolicy::Strict, &ctl)
+                .expect("streamed batch");
+            assert_eq!(stream.completeness, batch.completeness, "{id}");
+            assert_eq!(stream.degradation, batch.degradation, "{id}");
+            assert_eq!(stream.interrupt, batch.interrupt, "{id}");
+            assert_eq!(stream.applied, batch.result.mode == Mode::Opt, "{id}");
+            if stream.applied {
+                assert_eq!(stream.clusters, batch.result.clusters, "{id}");
+            }
+            assert_eq!(stream_events.events(), batch_events.events(), "{id}");
+        }
     }
 }
 

@@ -102,9 +102,7 @@ fn drive<F: Fs>(fs: F, net: &RoadNetwork, windows: &[Dataset]) -> Result<String,
 fn reference_fingerprint(net: &RoadNetwork, windows: &[Dataset]) -> String {
     let mut session = IncrementalNeat::new(net, neat_config());
     for window in windows {
-        session
-            .ingest_with_policy(window, ErrorPolicy::Strict)
-            .expect("clean ingest");
+        session.ingest(window).expect("clean ingest");
     }
     fingerprint(&session).expect("clean fingerprint")
 }

@@ -8,6 +8,7 @@ use neat_repro::mobisim::{generate_dataset, SimConfig};
 use neat_repro::neat::{Mode, Neat, NeatConfig};
 use neat_repro::rnet::netgen::{generate_grid_network, GridNetworkConfig};
 use neat_repro::rnet::{Point, RoadNetwork, SegmentId};
+use neat_repro::runctl::Control;
 use neat_repro::traj::sanitize::{ErrorPolicy, RawFix, Sanitizer};
 use neat_repro::traj::Dataset;
 use proptest::prelude::*;
@@ -93,7 +94,8 @@ fn fault_matrix_degrades_gracefully_under_skip_and_repair() {
             // The surviving dataset clusters end to end; its segments all
             // come from the simulator's network, so no degradation left.
             let result = neat
-                .run_with_policy(&out.dataset, Mode::Opt, policy)
+                .run_controlled(&out.dataset, Mode::Opt, policy, &Control::unlimited())
+                .map(|out| out.result)
                 .unwrap_or_else(|e| panic!("opt-NEAT failed for {spec}/{}: {e}", policy.name()));
             assert!(result.resilience.is_clean());
         }
@@ -202,7 +204,7 @@ proptest! {
         // pipeline must degrade, not abort.
         let net = small_net(0);
         let result = Neat::new(&net, NeatConfig::default())
-            .run_with_policy(&once.dataset, Mode::Opt, ErrorPolicy::Repair);
+            .run_controlled(&once.dataset, Mode::Opt, ErrorPolicy::Repair, &Control::unlimited());
         prop_assert!(result.is_ok(), "pipeline aborted: {:?}", result.err());
     }
 }

@@ -6,11 +6,17 @@
 //! example and assert each number the paper states.
 
 use neat_repro::neat::model::BaseCluster;
-use neat_repro::neat::phase1::form_base_clusters;
+use neat_repro::neat::phase1::{form_base_clusters_parallel_with_policy, Phase1Output};
 use neat_repro::neat::phase2::form_flow_clusters;
-use neat_repro::neat::{NeatConfig, Weights};
+use neat_repro::neat::{ErrorPolicy, NeatConfig, NeatError, Weights};
 use neat_repro::rnet::{Point, RoadLocation, RoadNetwork, RoadNetworkBuilder, SegmentId};
 use neat_repro::traj::{Dataset, Trajectory, TrajectoryId};
+
+/// Phase 1 on one thread under the strict policy.
+fn phase1(net: &RoadNetwork, data: &Dataset, junctions: bool) -> Result<Phase1Output, NeatError> {
+    form_base_clusters_parallel_with_policy(net, data, junctions, 1, ErrorPolicy::Strict)
+        .map(|(out, _)| out)
+}
 
 /// The Figure 1(b) road network: four segments meeting at junction n2.
 ///
@@ -75,7 +81,7 @@ fn cluster_for(bases: &[BaseCluster], sid: SegmentId) -> &BaseCluster {
 fn figure1b_densities_and_dense_core() {
     let (net, segs) = figure1_network();
     let data = figure1_dataset(&segs);
-    let out = form_base_clusters(&net, &data, true).unwrap();
+    let out = phase1(&net, &data, true).unwrap();
     assert_eq!(out.base_clusters.len(), 4);
     let d = |sid| cluster_for(&out.base_clusters, sid).density();
     assert_eq!(d(segs[0]), 4, "d(S1)");
@@ -90,7 +96,7 @@ fn figure1b_densities_and_dense_core() {
 fn figure1b_netflows() {
     let (net, segs) = figure1_network();
     let data = figure1_dataset(&segs);
-    let out = form_base_clusters(&net, &data, true).unwrap();
+    let out = phase1(&net, &data, true).unwrap();
     let c = |sid| cluster_for(&out.base_clusters, sid);
     let f = |a, b| c(a).netflow(c(b));
     assert_eq!(f(segs[0], segs[1]), 2, "f(S1,S2)");
@@ -106,7 +112,7 @@ fn figure1b_netflows() {
 fn figure1b_trajectory_cardinality() {
     let (net, segs) = figure1_network();
     let data = figure1_dataset(&segs);
-    let out = form_base_clusters(&net, &data, true).unwrap();
+    let out = phase1(&net, &data, true).unwrap();
     // S1 has 4 t-fragments but only 3 participating trajectories.
     let s1 = cluster_for(&out.base_clusters, segs[0]);
     assert_eq!(s1.density(), 4);
@@ -117,7 +123,7 @@ fn figure1b_trajectory_cardinality() {
 fn figure1b_maxflow_neighbor_merges_first() {
     let (net, segs) = figure1_network();
     let data = figure1_dataset(&segs);
-    let out = form_base_clusters(&net, &data, true).unwrap();
+    let out = phase1(&net, &data, true).unwrap();
     // With flow-only weights the first flow grown from the dense-core S1
     // must merge S2 (its maxFlow-neighbour with f=2).
     let config = NeatConfig {
@@ -147,7 +153,7 @@ fn figure1a_trajectory_splits_into_three_fragments() {
     let tr = Trajectory::new(TrajectoryId::new(9), pts).unwrap();
     let mut d = Dataset::new("fig1a");
     d.push(tr);
-    let out = form_base_clusters(&net, &d, true).unwrap();
+    let out = phase1(&net, &d, true).unwrap();
     assert_eq!(out.fragment_count, 3);
     assert_eq!(out.base_clusters.len(), 3);
 }

@@ -3,13 +3,15 @@
 
 use neat_repro::mobisim::{generate_dataset, SimConfig};
 use neat_repro::neat::evaluation::pairwise_scores;
-use neat_repro::neat::phase1::form_base_clusters;
+use neat_repro::neat::phase1::{form_base_clusters_parallel_with_policy, Phase1Output};
 use neat_repro::neat::phase2::form_flow_clusters;
 use neat_repro::neat::phase3::refine_flow_clusters;
-use neat_repro::neat::NeatConfig;
+use neat_repro::neat::{ErrorPolicy, NeatConfig, NeatError};
 use neat_repro::rnet::netgen::{generate_grid_network, GridNetworkConfig};
 use neat_repro::rnet::path::TravelMode;
+use neat_repro::rnet::RoadNetwork;
 use neat_repro::rnet::{NodeId, ShortestPathEngine};
+use neat_repro::traj::Dataset;
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -17,6 +19,12 @@ fn small_net(seed: u64) -> neat_repro::rnet::RoadNetwork {
     let mut cfg = GridNetworkConfig::small_test(8, 8);
     cfg.segment_ratio = 1.5;
     generate_grid_network(&cfg, seed)
+}
+
+/// Phase 1 on one thread under the strict policy.
+fn phase1(net: &RoadNetwork, data: &Dataset, junctions: bool) -> Result<Phase1Output, NeatError> {
+    form_base_clusters_parallel_with_policy(net, data, junctions, 1, ErrorPolicy::Strict)
+        .map(|(out, _)| out)
 }
 
 proptest! {
@@ -90,7 +98,7 @@ proptest! {
             num_objects: objects,
             ..SimConfig::default()
         }, seed.wrapping_add(1), "prop");
-        let out = form_base_clusters(&net, &data, true).unwrap();
+        let out = phase1(&net, &data, true).unwrap();
         let total: usize = out.base_clusters.iter().map(|c| c.density()).sum();
         prop_assert_eq!(total, out.fragment_count);
         for (i, x) in out.base_clusters.iter().enumerate() {
@@ -112,7 +120,7 @@ proptest! {
             num_objects: objects,
             ..SimConfig::default()
         }, seed.wrapping_add(1), "prop");
-        let p1 = form_base_clusters(&net, &data, true).unwrap();
+        let p1 = phase1(&net, &data, true).unwrap();
         let n_base = p1.base_clusters.len();
         let config = NeatConfig { min_card, ..NeatConfig::default() };
         let p2 = form_flow_clusters(&net, p1.base_clusters, &config).unwrap();
@@ -168,7 +176,7 @@ proptest! {
             num_objects: objects,
             ..SimConfig::default()
         }, seed.wrapping_add(1), "prop");
-        let p1 = form_base_clusters(&net, &data, true).unwrap();
+        let p1 = phase1(&net, &data, true).unwrap();
         let config = NeatConfig { min_card: 1, epsilon: eps, ..NeatConfig::default() };
         let p2 = form_flow_clusters(&net, p1.base_clusters, &config).unwrap();
         let n_flows = p2.flow_clusters.len();

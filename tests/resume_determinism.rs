@@ -9,6 +9,7 @@ use neat_repro::mobisim::{generate_dataset, SimConfig};
 use neat_repro::neat::{CheckpointStore, ErrorPolicy, IncrementalNeat, NeatConfig, RouteDistance};
 use neat_repro::rnet::netgen::{generate_grid_network, GridNetworkConfig};
 use neat_repro::rnet::RoadNetwork;
+use neat_repro::runctl::Control;
 use neat_repro::traj::Dataset;
 
 const BATCHES: usize = 4;
@@ -49,7 +50,8 @@ fn straight_through<'n>(
 ) -> IncrementalNeat<'n> {
     let mut s = IncrementalNeat::new(net, config);
     for w in windows {
-        s.ingest_with_policy(w, policy).expect("clean ingest");
+        s.ingest_controlled(w, policy, &Control::unlimited())
+            .expect("clean ingest");
     }
     s
 }
