@@ -5,7 +5,7 @@
 //! those summaries (plus cardinality and coverage measures useful to
 //! downstream applications) for any set of flow clusters.
 
-use crate::model::{FlowCluster, TrajectoryCluster};
+use crate::model::{sorted_ids, FlowCluster, TrajectoryCluster};
 use neat_rnet::RoadNetwork;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -34,11 +34,12 @@ pub fn flow_statistics(net: &RoadNetwork, flows: &[FlowCluster]) -> FlowStatisti
     }
     let lens: Vec<f64> = flows.iter().map(|f| f.route_length(net)).collect();
     let mut segments = BTreeSet::new();
-    let mut trajectories = BTreeSet::new();
+    let mut trajectories = Vec::new();
     for f in flows {
         segments.extend(f.route());
-        trajectories.extend(f.participating_trajectories().iter().copied());
+        trajectories.extend_from_slice(f.participating_trajectories());
     }
+    let trajectories = sorted_ids(trajectories);
     FlowStatistics {
         count: flows.len(),
         avg_route_length_m: lens.iter().sum::<f64>() / lens.len() as f64,

@@ -6,7 +6,7 @@
 //! without rescanning the network: it indexes the flows' representative
 //! routes by segment and supports point-radius and segment lookups.
 
-use crate::model::FlowCluster;
+use crate::model::{sorted_ids, FlowCluster};
 use neat_rnet::geometry::point_segment_distance;
 use neat_rnet::{Point, RoadNetwork, SegmentId, SegmentIndex};
 use std::collections::HashMap;
@@ -117,11 +117,11 @@ impl FlowIndex {
         point: Point,
         radius: f64,
     ) -> usize {
-        let mut ids = std::collections::BTreeSet::new();
+        let mut ids = Vec::new();
         for hit in self.flows_near(net, point, radius) {
-            ids.extend(flows[hit.flow].participating_trajectories().iter().copied());
+            ids.extend_from_slice(flows[hit.flow].participating_trajectories());
         }
-        ids.len()
+        sorted_ids(ids).len()
     }
 }
 

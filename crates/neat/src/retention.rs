@@ -26,8 +26,7 @@
 //! are **not** checkpointed and never feed back into clustering state.
 
 use crate::model::{BaseCluster, FlowCluster, TrajectoryCluster};
-use neat_traj::TrajectoryId;
-use std::collections::BTreeSet;
+use neat_traj::{TFragment, TrajectoryId};
 
 /// A cluster-lifecycle transition between two consecutive refinement
 /// outputs. `key` is the cluster's smallest participating trajectory id
@@ -151,30 +150,42 @@ pub(crate) struct ExpiryStats {
 /// every output flow is still a valid route. Relative flow order is
 /// preserved (runs replace their flow in place), which keeps expiry
 /// deterministic and independent of how batches were interleaved.
+///
+/// Only what expiry touches is rebuilt: a flow with no expired fragment
+/// is kept as it is, and inside a pruned flow a member with no expired
+/// fragment moves into its run unchanged.
 pub(crate) fn expire_flows(
     flows: Vec<FlowCluster>,
     watermark: f64,
 ) -> (Vec<FlowCluster>, ExpiryStats) {
+    let expired = |f: &TFragment| f.last.time < watermark;
     let mut kept = Vec::with_capacity(flows.len());
     let mut stats = ExpiryStats::default();
     for flow in flows {
-        let nodes = flow.node_chain().to_vec();
-        let mut pruned: Vec<Option<BaseCluster>> = Vec::with_capacity(flow.members().len());
-        for member in flow.members() {
-            let live: Vec<_> = member
-                .fragments()
-                .iter()
-                .filter(|f| f.last.time >= watermark)
-                .cloned()
-                .collect();
-            stats.expired_fragments += member.fragments().len() - live.len();
-            if live.is_empty() {
-                pruned.push(None);
-            } else {
-                let base = BaseCluster::new(member.segment(), live)
-                    .expect("surviving fragments come from a same-segment member"); // lint:allow(L1) reason=fragments are filtered from a member that already validated its segment
-                pruned.push(Some(base));
+        let touched = flow
+            .members()
+            .iter()
+            .any(|m| m.fragments().iter().any(expired));
+        if !touched {
+            kept.push(flow);
+            continue;
+        }
+        let (members, nodes) = flow.into_parts();
+        let mut pruned: Vec<Option<BaseCluster>> = Vec::with_capacity(members.len());
+        for member in members {
+            if !member.fragments().iter().any(expired) {
+                pruned.push(Some(member));
+                continue;
             }
+            let (segment, mut fragments) = member.into_parts();
+            let before = fragments.len();
+            fragments.retain(|f| !expired(f));
+            stats.expired_fragments += before - fragments.len();
+            // The survivors come from a member that already validated its
+            // segment.
+            pruned.push(
+                (!fragments.is_empty()).then(|| BaseCluster::from_grouped(segment, fragments)),
+            );
         }
         let mut runs = 0usize;
         let mut i = 0usize;
@@ -187,10 +198,8 @@ pub(crate) fn expire_flows(
             while i < pruned.len() && pruned[i].is_some() {
                 i += 1;
             }
-            let members: Vec<BaseCluster> = pruned[start..i]
-                .iter_mut()
-                .map(|slot| slot.take().expect("run contains only surviving members")) // lint:allow(L1) reason=the run was delimited by is_some()
-                .collect();
+            let members: Vec<BaseCluster> =
+                pruned[start..i].iter_mut().flat_map(Option::take).collect();
             let run_nodes = nodes[start..=i].to_vec();
             let rebuilt = FlowCluster::from_parts(members, run_nodes)
                 .expect("run is non-empty with a members+1 node chain"); // lint:allow(L1) reason=run length and node slice length are constructed to match
@@ -206,23 +215,9 @@ pub(crate) fn expire_flows(
     (kept, stats)
 }
 
-/// Participating-trajectory set of a trajectory cluster.
-fn cluster_set(c: &TrajectoryCluster) -> BTreeSet<TrajectoryId> {
-    let mut all = BTreeSet::new();
-    for f in c.flows() {
-        all.extend(f.participating_trajectories().iter().copied());
-    }
-    all
-}
-
 /// Lineage key of a participating set: its smallest trajectory id.
-fn key_of(s: &BTreeSet<TrajectoryId>) -> u64 {
-    s.iter().next().map(|t| t.value()).unwrap_or(u64::MAX)
-}
-
-fn intersects(a: &BTreeSet<TrajectoryId>, b: &BTreeSet<TrajectoryId>) -> bool {
-    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    small.iter().any(|t| large.contains(t))
+fn key_of(s: &[TrajectoryId]) -> u64 {
+    s.first().map_or(u64::MAX, |t| t.value())
 }
 
 /// Diffs two refinement outputs into [`DriftEvent`]s.
@@ -237,25 +232,39 @@ fn intersects(a: &BTreeSet<TrajectoryId>, b: &BTreeSet<TrajectoryId>) -> bool {
 /// (current clusters first, then deaths), so the output is deterministic
 /// for deterministic inputs.
 pub fn diff_drift(prev: &[TrajectoryCluster], curr: &[TrajectoryCluster]) -> Vec<DriftEvent> {
-    let prev_sets: Vec<BTreeSet<TrajectoryId>> = prev.iter().map(cluster_set).collect();
-    let curr_sets: Vec<BTreeSet<TrajectoryId>> = curr.iter().map(cluster_set).collect();
+    let prev_sets: Vec<Box<[TrajectoryId]>> = prev
+        .iter()
+        .map(TrajectoryCluster::trajectory_union)
+        .collect();
+    let curr_sets: Vec<Box<[TrajectoryId]>> = curr
+        .iter()
+        .map(TrajectoryCluster::trajectory_union)
+        .collect();
 
-    // For every predecessor, the current cluster that inherits its
-    // lineage: largest overlap, ties to the smaller current key.
+    // Every overlapping (previous, current) pair, counted once. For every
+    // predecessor, the current cluster that inherits its lineage: largest
+    // overlap, ties to the smaller current key. For every current
+    // cluster, its overlapping predecessors in `prev` order.
+    let mut parents_of: Vec<Vec<usize>> = vec![Vec::new(); curr_sets.len()];
     let heir_of: Vec<Option<usize>> = prev_sets
         .iter()
-        .map(|ps| {
+        .enumerate()
+        .map(|(pi, ps)| {
             curr_sets
                 .iter()
                 .enumerate()
-                .filter(|(_, cs)| intersects(ps, cs))
-                .max_by(|(ai, a), (bi, b)| {
-                    let oa = crate::model::intersection_size(ps, a);
-                    let ob = crate::model::intersection_size(ps, b);
-                    oa.cmp(&ob)
-                        .then_with(|| key_of(&curr_sets[*bi]).cmp(&key_of(&curr_sets[*ai])))
+                .filter_map(|(ci, cs)| {
+                    let overlap = crate::model::intersection_size(ps, cs);
+                    (overlap > 0).then(|| {
+                        parents_of[ci].push(pi);
+                        (ci, overlap)
+                    })
                 })
-                .map(|(i, _)| i)
+                .max_by(|&(ai, oa), &(bi, ob)| {
+                    oa.cmp(&ob)
+                        .then_with(|| key_of(&curr_sets[bi]).cmp(&key_of(&curr_sets[ai])))
+                })
+                .map(|(ci, _)| ci)
         })
         .collect();
 
@@ -266,13 +275,7 @@ pub fn diff_drift(prev: &[TrajectoryCluster], curr: &[TrajectoryCluster]) -> Vec
     let mut survived = vec![false; prev_sets.len()];
     for ci in order {
         let cs = &curr_sets[ci];
-        let parents: Vec<usize> = prev_sets
-            .iter()
-            .enumerate()
-            .filter(|(_, ps)| intersects(ps, cs))
-            .map(|(i, _)| i)
-            .collect();
-        match parents.as_slice() {
+        match parents_of[ci].as_slice() {
             [] => events.push(DriftEvent::Born {
                 key: key_of(cs),
                 size: cs.len(),
@@ -409,6 +412,88 @@ mod tests {
         assert_eq!(kept.len(), 1);
         assert_eq!(kept[0].density(), 1);
         assert_eq!(stats.expired_fragments, 1);
+    }
+
+    /// Expiry that rebuilds every member of every flow from its
+    /// surviving fragments, touched or not.
+    fn expire_rebuilding_everything(
+        flows: Vec<FlowCluster>,
+        watermark: f64,
+    ) -> (Vec<FlowCluster>, ExpiryStats) {
+        let mut kept = Vec::new();
+        let mut stats = ExpiryStats::default();
+        for flow in flows {
+            let nodes = flow.node_chain().to_vec();
+            let mut pruned: Vec<Option<BaseCluster>> = Vec::new();
+            for member in flow.members() {
+                let live: Vec<_> = member
+                    .fragments()
+                    .iter()
+                    .filter(|f| f.last.time >= watermark)
+                    .cloned()
+                    .collect();
+                stats.expired_fragments += member.fragments().len() - live.len();
+                pruned.push(
+                    (!live.is_empty()).then(|| BaseCluster::new(member.segment(), live).unwrap()),
+                );
+            }
+            let mut runs = 0;
+            let mut i = 0;
+            while i < pruned.len() {
+                if pruned[i].is_none() {
+                    i += 1;
+                    continue;
+                }
+                let start = i;
+                while i < pruned.len() && pruned[i].is_some() {
+                    i += 1;
+                }
+                let members = pruned[start..i]
+                    .iter_mut()
+                    .map(|m| m.take().unwrap())
+                    .collect();
+                kept.push(FlowCluster::from_parts(members, nodes[start..=i].to_vec()).unwrap());
+                runs += 1;
+            }
+            if runs == 0 {
+                stats.expired_flows += 1;
+            } else if runs > 1 {
+                stats.split_flows += runs - 1;
+            }
+        }
+        (kept, stats)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(200))]
+
+        /// Generated flows (1–6 members of 1–5 fragments, unsorted and
+        /// repeating trajectory ids) under watermarks from below every
+        /// fragment to above them all: expiry that keeps untouched flows
+        /// and members equals expiry that rebuilds everything.
+        #[test]
+        fn expiry_equals_rebuilding_everything(
+            shapes in proptest::collection::vec(
+                (0usize..4, proptest::collection::vec(
+                    proptest::collection::vec((0u64..12, 0.0f64..100.0), 1..6), 1..7)),
+                0..6),
+            watermark in -5.0f64..110.0,
+        ) {
+            let net = chain_network(11, 100.0, 10.0);
+            let flows: Vec<FlowCluster> = shapes
+                .iter()
+                .map(|(start, members)| {
+                    let specs: Vec<(usize, &[(u64, f64)])> = members
+                        .iter()
+                        .enumerate()
+                        .map(|(i, frags)| (start + i, frags.as_slice()))
+                        .collect();
+                    chain_flow(&net, &specs)
+                })
+                .collect();
+            let want = expire_rebuilding_everything(flows.clone(), watermark);
+            proptest::prop_assert_eq!(expire_flows(flows, watermark), want);
+        }
     }
 
     fn cluster(ids: &[u64]) -> TrajectoryCluster {

@@ -134,7 +134,8 @@ proptest! {
                 .iter()
                 .flat_map(|m| m.participating_trajectories().iter().copied())
                 .collect();
-            prop_assert_eq!(&union, f.participating_trajectories());
+            let union: Vec<_> = union.into_iter().collect();
+            prop_assert_eq!(union.as_slice(), f.participating_trajectories());
         }
     }
 
