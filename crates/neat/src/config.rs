@@ -149,6 +149,11 @@ pub enum SpStrategy {
 /// weights, `β = +∞` (pure maxFlow selection, Definition 7), `minCard = 5`
 /// (the ATL500 experiment's filter), `ε = 6500 m` (Figure 3) and the ELB
 /// optimisation enabled.
+///
+/// Phase 3's output-preserving accelerations are not options: ALT
+/// landmarks tighten the bound whenever `use_elb` is set, and endpoint
+/// distances under [`SpStrategy::AStar`] always come from one-to-many
+/// tables (see [`crate::phase3`]).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct NeatConfig {
     /// Merging-selectivity weights (Definition 10).
@@ -161,8 +166,8 @@ pub struct NeatConfig {
     pub min_card: usize,
     /// Distance threshold ε (metres) for the Phase-3 density-based merge.
     pub epsilon: f64,
-    /// Whether Phase 3 uses the Euclidean-lower-bound filter before
-    /// computing network distances.
+    /// Whether Phase 3 uses the Euclidean-lower-bound filter, tightened
+    /// by ALT landmarks, before computing network distances.
     pub use_elb: bool,
     /// Shortest-path algorithm for Phase 3.
     pub sp_strategy: SpStrategy,
@@ -177,22 +182,6 @@ pub struct NeatConfig {
     /// The parallel path is bit-identical to the sequential one, for any
     /// thread count, even under budget or cancellation interrupts.
     pub threads: usize,
-    /// Number of ALT landmarks for the Phase-3 lower bound (0 disables).
-    /// Landmark bounds are layered on top of the Euclidean lower bound
-    /// (the filter is `max(euclidean, alt)`), so they only ever skip
-    /// *more* pairs and never change the clustering. Only used when
-    /// [`NeatConfig::use_elb`] is set. Preprocessing costs one full
-    /// Dijkstra per landmark, paid inside Phase 3: on Table-I-sized
-    /// networks a handful of landmarks captures most of the skips, so
-    /// the default stays small.
-    pub alt_landmarks: usize,
-    /// Whether Phase 3 answers endpoint distances from bounded
-    /// one-to-many Dijkstra tables (one expansion per scanned endpoint,
-    /// reused across every candidate pair of that scan) instead of one
-    /// bounded point-to-point search per node pair. Identical decisions,
-    /// far fewer searches; only applies to the
-    /// [`RouteDistance::Endpoints`] + [`SpStrategy::AStar`] combination.
-    pub endpoint_tables: bool,
 }
 
 impl Default for NeatConfig {
@@ -207,8 +196,6 @@ impl Default for NeatConfig {
             route_distance: RouteDistance::Endpoints,
             insert_junctions: true,
             threads: 1,
-            alt_landmarks: 4,
-            endpoint_tables: true,
         }
     }
 }

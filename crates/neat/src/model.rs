@@ -210,47 +210,6 @@ fn union_into(acc: &mut Vec<TrajectoryId>, add: &[TrajectoryId]) {
     debug_assert!(is_set(acc));
 }
 
-/// The f-neighbourhood `N_f(S, n_u)` of Definition 6: among `candidates`,
-/// the base clusters whose representative segments are adjacent to `of`'s
-/// segment at junction `nu` and share at least one participating
-/// trajectory with `of`. Returned in `candidates` order.
-///
-/// # Panics
-///
-/// Panics if `nu` is not an endpoint of `of`'s segment (the paper's
-/// operator is only defined at the segment's endpoints).
-pub fn f_neighborhood<'a>(
-    net: &RoadNetwork,
-    of: &BaseCluster,
-    nu: NodeId,
-    candidates: &'a [BaseCluster],
-) -> Vec<&'a BaseCluster> {
-    let adjacent = net.adjacent_segments_at(of.segment(), nu);
-    candidates
-        .iter()
-        .filter(|c| adjacent.contains(&c.segment()) && of.netflow(c) > 0)
-        .collect()
-}
-
-/// The maxFlow-neighbour of Definition 7: the member of
-/// [`f_neighborhood`] with the highest netflow to `of` (ties broken by
-/// segment id for determinism), or `None` when the neighbourhood is
-/// empty.
-pub fn maxflow_neighbor<'a>(
-    net: &RoadNetwork,
-    of: &BaseCluster,
-    nu: NodeId,
-    candidates: &'a [BaseCluster],
-) -> Option<&'a BaseCluster> {
-    f_neighborhood(net, of, nu, candidates)
-        .into_iter()
-        .max_by(|a, b| {
-            of.netflow(a)
-                .cmp(&of.netflow(b))
-                .then_with(|| b.segment().cmp(&a.segment()))
-        })
-}
-
 /// A flow cluster (Definition 8): an ordered list of base clusters whose
 /// representative segments form a route in the road network.
 ///
@@ -537,55 +496,6 @@ mod tests {
         assert_eq!(s2.netflow(&s1), 2); // symmetric
         let s3 = BaseCluster::new(SegmentId::new(2), vec![frag(9, 2)]).unwrap();
         assert_eq!(s1.netflow(&s3), 0);
-    }
-
-    #[test]
-    fn f_neighborhood_matches_figure1() {
-        // Star network as in Figure 1(b): hub n2 joins s12, s23, s24, s25.
-        let mut b = neat_rnet::RoadNetworkBuilder::new();
-        let n1 = b.add_node(Point::new(-100.0, 0.0));
-        let n2 = b.add_node(Point::new(0.0, 0.0));
-        let n3 = b.add_node(Point::new(100.0, 50.0));
-        let n4 = b.add_node(Point::new(100.0, 0.0));
-        let n5 = b.add_node(Point::new(100.0, -50.0));
-        b.add_segment(n1, n2, 10.0).unwrap(); // s0 = s12
-        b.add_segment(n2, n3, 10.0).unwrap(); // s1 = s23
-        b.add_segment(n2, n4, 10.0).unwrap(); // s2 = s24
-        b.add_segment(n2, n5, 10.0).unwrap(); // s3 = s25
-        let net = b.build().unwrap();
-        let s1 = BaseCluster::new(
-            SegmentId::new(0),
-            vec![frag(1, 0), frag(2, 0), frag(3, 0), frag(4, 0)],
-        )
-        .unwrap();
-        let pool = vec![
-            BaseCluster::new(SegmentId::new(1), vec![frag(1, 1), frag(2, 1)]).unwrap(),
-            BaseCluster::new(SegmentId::new(2), vec![frag(3, 2)]).unwrap(),
-            BaseCluster::new(SegmentId::new(3), vec![frag(4, 3), frag(9, 3)]).unwrap(),
-        ];
-        // All three are f-neighbours of S1 at n2 (each shares a
-        // trajectory), as in the paper's example.
-        let neigh = super::f_neighborhood(&net, &s1, n2, &pool);
-        assert_eq!(neigh.len(), 3);
-        // The maxFlow-neighbour is S2 (netflow 2 > 1, 1).
-        let best = super::maxflow_neighbor(&net, &s1, n2, &pool).unwrap();
-        assert_eq!(best.segment(), SegmentId::new(1));
-        // At the dead end n1, the neighbourhood is empty.
-        assert!(super::f_neighborhood(&net, &s1, n1, &pool).is_empty());
-        assert!(super::maxflow_neighbor(&net, &s1, n1, &pool).is_none());
-    }
-
-    #[test]
-    fn f_neighborhood_excludes_zero_netflow() {
-        let net = chain_network(4, 100.0, 10.0);
-        let s = BaseCluster::new(SegmentId::new(1), vec![frag(1, 1)]).unwrap();
-        let pool = vec![
-            BaseCluster::new(SegmentId::new(0), vec![frag(9, 0)]).unwrap(), // no shared traj
-            BaseCluster::new(SegmentId::new(2), vec![frag(1, 2)]).unwrap(), // shared
-        ];
-        let neigh = super::f_neighborhood(&net, &s, NodeId::new(2), &pool);
-        assert_eq!(neigh.len(), 1);
-        assert_eq!(neigh[0].segment(), SegmentId::new(2));
     }
 
     #[test]

@@ -153,11 +153,6 @@ pub(crate) fn form_flow_clusters_inner(
     ctl: Option<&Control>,
 ) -> Result<(Phase2Output, PhaseStatus), NeatError> {
     config.validate()?;
-    // Invariant: every pool slot starts as `Some` and is only emptied by a
-    // `take()` when its cluster is merged into a flow. The `expect`s on pool
-    // entries below and in `expand_end` rely on this bookkeeping, never on
-    // caller input, so they are unreachable for malformed datasets.
-    let mut pool: Vec<Option<BaseCluster>> = base_clusters.into_iter().map(Some).collect();
     // Flat segment-index → pool-slot lookup (`u32::MAX` = no cluster):
     // the adjacency probes in `expand_end` become a dense array read
     // instead of a hash lookup. Segments outside the network are not
@@ -165,12 +160,14 @@ pub(crate) fn form_flow_clusters_inner(
     // seed on such a segment errors in `FlowCluster::from_base` exactly
     // as before.
     let mut by_segment: Vec<u32> = vec![u32::MAX; net.segment_count()];
-    for (i, c) in pool.iter().enumerate() {
-        let seg = c.as_ref().expect("fresh pool").segment(); // lint:allow(L1) reason=pool slots start Some; see the invariant note above
-        if seg.index() < by_segment.len() {
-            by_segment[seg.index()] = i as u32; // lint:allow(L4) reason=pool slots are bounded by the u32-backed segment id space
+    for (i, c) in base_clusters.iter().enumerate() {
+        if let Some(slot) = by_segment.get_mut(c.segment().index()) {
+            *slot = i as u32; // lint:allow(L4) reason=pool slots are bounded by the u32-backed segment id space
         }
     }
+    // Every pool slot starts as `Some` and is only emptied by a `take()`
+    // when its cluster is merged into a flow.
+    let mut pool: Vec<Option<BaseCluster>> = base_clusters.into_iter().map(Some).collect();
 
     let total = pool.len();
     let mut flows = Vec::new();
@@ -292,38 +289,26 @@ fn expand_end(
                 return Ok(Some(why));
             }
         }
-        // Invariant: a FlowCluster is created from a seed base cluster and
-        // only ever grows, so `members()` is never empty here.
         let (end_cluster, nu) = match end {
-            End::Back => (
-                flow.members().last().expect("non-empty flow"), // lint:allow(L1) reason=flows always contain at least one member cluster
-                flow.back_endpoint(),
-            ),
-            End::Front => (
-                flow.members().first().expect("non-empty flow"), // lint:allow(L1) reason=flows always contain at least one member cluster
-                flow.front_endpoint(),
-            ),
+            End::Back => (flow.members().last(), flow.back_endpoint()),
+            End::Front => (flow.members().first(), flow.front_endpoint()),
         };
-        let end_segment = end_cluster.segment();
+        let end_cluster = end_cluster.expect("non-empty flow"); // lint:allow(L1) reason=a flow is created from a seed base cluster and only ever grows
 
         // f-neighbourhood Nf(S, nu): unmerged base clusters on segments
-        // adjacent at nu with positive netflow (Definition 6). Sorted by
-        // segment id for determinism.
-        //
-        // Invariant: `neigh` holds only indices whose pool slot was `Some`
-        // when filtered, and nothing is taken from the pool until `chosen`
-        // at the bottom of the loop — so every `expect("present")` below is
-        // internal bookkeeping, not input validation.
-        let mut neigh: Vec<usize> = net
-            .adjacent_segments_at(end_segment, nu)
+        // adjacent at nu with positive netflow (Definition 6), borrowed
+        // from their pool slots and sorted by segment id for determinism.
+        let mut neigh: Vec<(usize, &BaseCluster)> = net
+            .adjacent_segments_at(end_cluster.segment(), nu)
             .into_iter()
             .filter_map(|sid| {
                 let slot = by_segment[sid.index()];
                 (slot != u32::MAX).then_some(slot as usize) // lint:allow(L4) reason=widening a u32 slot back to usize is lossless
             })
-            .filter(|&i| pool[i].as_ref().is_some_and(|c| end_cluster.netflow(c) > 0))
+            .filter_map(|i| Some((i, pool[i].as_ref()?)))
+            .filter(|(_, c)| end_cluster.netflow(c) > 0)
             .collect();
-        neigh.sort_by_key(|&i| pool[i].as_ref().expect("filtered above").segment()); // lint:allow(L1) reason=the filter above keeps only populated slots
+        neigh.sort_by_key(|(_, c)| c.segment());
 
         // β-domination restarts (Section III-B2): while a netflow between
         // two f-neighbours dominates the end's maxFlow, drop that pair from
@@ -332,107 +317,79 @@ fn expand_end(
             loop {
                 let max_flow = neigh
                     .iter()
-                    .map(|&i| end_cluster.netflow(pool[i].as_ref().expect("present"))) // lint:allow(L1) reason=neigh indices were filtered to populated slots
+                    .map(|(_, c)| end_cluster.netflow(c))
                     .max()
                     .unwrap_or(0);
                 if max_flow == 0 {
                     break;
                 }
-                let mut dominated: Option<(usize, usize)> = None;
-                'pairs: for (x, &i) in neigh.iter().enumerate() {
-                    for &j in neigh.iter().skip(x + 1) {
-                        let fij = pool[i]
-                            .as_ref()
-                            .expect("present") // lint:allow(L1) reason=neigh indices were filtered to populated slots
-                            .netflow(pool[j].as_ref().expect("present"));
+                let mut dominated = None;
+                'pairs: for (x, &(i, ci)) in neigh.iter().enumerate() {
+                    for &(j, cj) in neigh.iter().skip(x + 1) {
+                        let fij = ci.netflow(cj);
                         if fij > 0 && fij as f64 / max_flow as f64 >= config.beta {
-                            dominated = Some((i, j));
+                            dominated = Some((i, ci, j, cj, fij));
                             break 'pairs;
                         }
                     }
                 }
-                match dominated {
-                    Some((i, j)) => {
-                        if let Some(t) = trace.as_mut() {
-                            let (si, sj) = (
-                                pool[i].as_ref().expect("present").segment(), // lint:allow(L1) reason=neigh indices were filtered to populated slots
-                                pool[j].as_ref().expect("present").segment(),
-                            );
-                            t.push(MergeEvent::DominationRestart {
-                                flow: flow_idx,
-                                end,
-                                removed: (si, sj),
-                                pair_netflow: pool[i]
-                                    .as_ref()
-                                    .expect("present") // lint:allow(L1) reason=neigh indices were filtered to populated slots
-                                    .netflow(pool[j].as_ref().expect("present")),
-                                max_flow,
-                            });
-                        }
-                        neigh.retain(|&x| x != i && x != j)
-                    }
-                    None => break,
+                let Some((i, ci, j, cj, fij)) = dominated else {
+                    break;
+                };
+                if let Some(t) = trace.as_mut() {
+                    t.push(MergeEvent::DominationRestart {
+                        flow: flow_idx,
+                        end,
+                        removed: (ci.segment(), cj.segment()),
+                        pair_netflow: fij,
+                        max_flow,
+                    });
                 }
+                neigh.retain(|&(x, _)| x != i && x != j);
             }
-        }
-
-        if neigh.is_empty() {
-            return Ok(None);
         }
 
         // Definition 9 denominators over the (possibly reduced)
         // neighbourhood.
         let d_s = end_cluster.density() as f64;
-        let sum_d: f64 = neigh
-            .iter()
-            .map(|&i| pool[i].as_ref().expect("present").density() as f64) // lint:allow(L1) reason=neigh indices were filtered to populated slots
-            .sum();
-        let sum_v: f64 = neigh
-            .iter()
-            .map(|&i| segment_speed(net, pool[i].as_ref().expect("present"))) // lint:allow(L1) reason=neigh indices were filtered to populated slots
-            .sum();
+        let sum_d: f64 = neigh.iter().map(|(_, c)| c.density() as f64).sum();
+        let sum_v: f64 = neigh.iter().map(|(_, c)| segment_speed(net, c)).sum();
         let card_s = end_cluster.trajectory_cardinality() as f64;
 
         // Score every candidate and pick the winner in neighbourhood
         // order, with the exact tie-breaks: selectivity, then netflow with
         // the whole flow, then segment id.
-        let mut best: Option<(usize, f64, usize)> = None; // (idx, sf, f(F,S))
-        for &i in &neigh {
-            let cand = pool[i].as_ref().expect("present"); // lint:allow(L1) reason=neigh indices were filtered to populated slots
+        let mut best: Option<(usize, &BaseCluster, f64, usize)> = None; // (slot, cluster, sf, f(F,S))
+        for &(i, cand) in &neigh {
             let q = end_cluster.netflow(cand) as f64 / card_s.max(1.0);
             let k = cand.density() as f64 / (d_s + sum_d);
             let v = segment_speed(net, cand) / sum_v.max(f64::MIN_POSITIVE);
             let sf = config.weights.selectivity(q, k, v);
             let f_flow = flow.netflow_with(cand);
-            let better = match &best {
+            let better = match best {
                 None => true,
-                Some((bi, bsf, bf)) => {
-                    let best_segment = pool[*bi].as_ref().expect("present").segment(); // lint:allow(L1) reason=neigh indices were filtered to populated slots
-                    sf > *bsf + 1e-12
-                        || ((sf - *bsf).abs() <= 1e-12
-                            && (f_flow > *bf || (f_flow == *bf && cand.segment() < best_segment)))
+                Some((_, bc, bsf, bf)) => {
+                    sf > bsf + 1e-12
+                        || ((sf - bsf).abs() <= 1e-12
+                            && (f_flow > bf || (f_flow == bf && cand.segment() < bc.segment())))
                 }
             };
             if better {
-                best = Some((i, sf, f_flow));
+                best = Some((i, cand, sf, f_flow));
             }
         }
-        // Invariant: the `neigh.is_empty()` early-return above guarantees
-        // the candidate loop ran at least once, so `best` is `Some`.
-        let (chosen, sf, _) = best.expect("neighbourhood non-empty"); // lint:allow(L1) reason=documented invariant above: the candidate loop ran at least once and the chosen slot is still populated
-        let cluster = pool[chosen].take().expect("present");
+        // An empty f-neighbourhood ends this end's expansion.
+        let Some((chosen, _, sf, _)) = best else {
+            return Ok(None);
+        };
+        let cluster = pool[chosen].take().expect("f-neighbour slot is populated"); // lint:allow(L1) reason=neigh borrowed only populated slots and nothing was taken since
         if let Some(t) = trace.as_mut() {
             t.push(MergeEvent::Merge {
                 flow: flow_idx,
                 end,
                 segment: cluster.segment(),
                 selectivity: sf,
-                netflow: match end {
-                    End::Back => flow.members().last(),
-                    End::Front => flow.members().first(),
-                }
-                .expect("non-empty") // lint:allow(L1) reason=a flow retains at least one member after merging
-                .netflow(&cluster),
+                netflow: end_cluster.netflow(&cluster),
             });
         }
         match end {

@@ -17,24 +17,24 @@
 //! On top of the paper's design this implementation layers two
 //! output-preserving optimisations:
 //!
-//! * **ALT landmark bounds** ([`AltLandmarks`]): the pre-filter becomes
-//!   `max(euclidean, alt)`, which is still a lower bound on the network
-//!   distance, so it only ever skips *more* pairs — never different ones.
-//! * **Endpoint one-to-many tables**: in the default
-//!   [`RouteDistance::Endpoints`] + [`SpStrategy::AStar`] configuration,
-//!   each neighbourhood scan runs one bounded one-to-many Dijkstra per
-//!   scanned endpoint and answers every candidate pair from the resulting
-//!   tables. A node absent from a table is provably farther than ε, so
-//!   the decisions equal the per-pair bounded searches they replace.
+//! * **ALT landmark bounds** ([`AltLandmarks`]): whenever the ELB filter
+//!   runs, a fixed four landmarks tighten it to `max(euclidean, alt)`,
+//!   which is still a lower bound on the network distance, so it only
+//!   ever skips *more* pairs — never different ones.
+//! * **Endpoint one-to-many tables**: in every
+//!   [`RouteDistance::Endpoints`] + [`SpStrategy::AStar`] configuration
+//!   (the default), each neighbourhood scan runs one bounded one-to-many
+//!   Dijkstra per scanned endpoint and answers every candidate pair from
+//!   the resulting tables. A node absent from a table is provably farther
+//!   than ε, so the decisions equal those of per-pair bounded searches.
 //!
 //! Every neighbourhood scan runs on the calling thread, one cancel point
 //! per candidate pair, whatever `config.threads` says. In the default
 //! table mode a candidate costs a few geometry operations, too little
 //! for a thread fan-out to pay. The table-less ablations (full routes,
-//! pairwise searches, Dijkstra) run bounded searches per pair and scan
-//! slower than a fan-out would; DESIGN §12 has the measurement. The
-//! output and the op index of any interrupt cannot depend on the thread
-//! count.
+//! Dijkstra) run searches per pair and scan slower than a fan-out would;
+//! DESIGN §12 has the measurement. The output and the op index of any
+//! interrupt cannot depend on the thread count.
 
 use crate::config::{NeatConfig, RouteDistance, SpStrategy};
 use crate::control::PhaseStatus;
@@ -437,6 +437,11 @@ fn degrade(
     }
 }
 
+/// ALT landmarks built per refinement when the ELB filter is on. Each
+/// costs one full Dijkstra inside phase 3; on Table-I-sized networks a
+/// handful already captures most of the skips (DESIGN §12).
+const ALT_LANDMARKS: usize = 4;
+
 /// Degradation note recorded when exact distances are abandoned.
 const DEGRADE_NOTE: &str = "phase3: exact network distances -> ELB-only";
 
@@ -594,17 +599,11 @@ pub fn refine_flow_clusters_ctl(
     // Some(why) once refinement stopped outright.
     let mut stopped: Option<Interrupt> = None;
 
-    // ALT landmark preprocessing: exactly `alt_landmarks` full Dijkstra
+    // ALT landmark preprocessing: exactly `ALT_LANDMARKS` full Dijkstra
     // expansions, charged to `ctl` like the query-time searches whose
     // skips pay for them. Only worthwhile when the ELB filter runs.
-    let alt = if config.use_elb && config.alt_landmarks > 0 && n >= 2 {
-        match AltLandmarks::build(
-            net,
-            &mut engine,
-            config.alt_landmarks,
-            TravelMode::Undirected,
-            ctl,
-        ) {
+    let alt = if config.use_elb && n >= 2 {
+        match AltLandmarks::build(net, &mut engine, ALT_LANDMARKS, TravelMode::Undirected, ctl) {
             Ok(a) => Some(a),
             Err(why) => {
                 if let Err(why) = degrade(why, ctl, &mut degraded) {
@@ -628,8 +627,7 @@ pub fn refine_flow_clusters_ctl(
         // Endpoint tables replace bounded point-to-point searches only
         // where both are defined: endpoint distances under the bounded
         // strategy.
-        use_tables: config.endpoint_tables
-            && config.route_distance == RouteDistance::Endpoints
+        use_tables: config.route_distance == RouteDistance::Endpoints
             && config.sp_strategy == SpStrategy::AStar,
         pair_cache: HashMap::new(),
         tables: HashMap::new(),
@@ -1000,72 +998,47 @@ mod tests {
         assert_eq!(a.clusters, b.clusters);
     }
 
-    /// A ring network where Euclidean chords undercut path distances, so
-    /// the ALT bound has room to beat the ELB.
-    fn ring_net() -> (RoadNetwork, Vec<neat_rnet::SegmentId>) {
+    /// A U-shaped path of 100 m segments: two 700 m arms 200 m apart,
+    /// joined at the bottom. Node 0 is the left arm's tip, so it becomes
+    /// the first ALT landmark, and on a path a landmark at one end makes
+    /// the bound exact.
+    fn u_net() -> (RoadNetwork, Vec<neat_rnet::SegmentId>) {
         let mut b = neat_rnet::RoadNetworkBuilder::new();
-        let n: Vec<_> = (0..16)
-            .map(|i| {
-                let ang = std::f64::consts::TAU * i as f64 / 16.0;
-                b.add_node(neat_rnet::Point::new(400.0 * ang.cos(), 400.0 * ang.sin()))
-            })
+        let left = (0..=7).map(|i| Point::new(0.0, 700.0 - 100.0 * i as f64));
+        let bottom = [Point::new(100.0, 0.0)];
+        let right = (0..=7).map(|i| Point::new(200.0, 100.0 * i as f64));
+        let n: Vec<_> = left
+            .chain(bottom)
+            .chain(right)
+            .map(|p| b.add_node(p))
             .collect();
-        let mut segs = Vec::new();
-        for i in 0..16 {
-            segs.push(b.add_segment(n[i], n[(i + 1) % 16], 10.0).unwrap());
-        }
+        let segs = n
+            .windows(2)
+            .map(|w| b.add_segment(w[0], w[1], 10.0).unwrap())
+            .collect();
         (b.build().unwrap(), segs)
-    }
-
-    fn ring_flow(
-        net: &RoadNetwork,
-        segs: &[neat_rnet::SegmentId],
-        range: std::ops::Range<usize>,
-        tr: u64,
-    ) -> FlowCluster {
-        let mut it = segs[range].iter();
-        let first = *it.next().unwrap();
-        let mut f = FlowCluster::from_base(
-            net,
-            BaseCluster::new(first, vec![frag2(tr, first)]).unwrap(),
-        )
-        .unwrap();
-        for &s in it {
-            f.push_back(net, BaseCluster::new(s, vec![frag2(tr, s)]).unwrap())
-                .unwrap();
-        }
-        f
     }
 
     #[test]
     fn alt_bound_skips_pairs_elb_cannot_without_changing_output() {
-        let (net, segs) = ring_net();
-        // Flows on opposite arcs: endpoint chords (Euclidean) are much
-        // shorter than the around-the-ring network distances. Per-hop
-        // chord ≈ 156 m, so the nearest endpoints (6 hops) are ≈ 936 m
-        // apart on the network while every straight-line chord is at most
-        // the diameter (800 m).
-        let a = ring_flow(&net, &segs, 0..2, 1);
-        let b = ring_flow(&net, &segs, 8..10, 2);
-        let flows = vec![a, b];
-        // ε above every chord but below the shortest path distance.
+        let (net, segs) = u_net();
+        // One flow on each arm tip: the tips are 200 m apart as the crow
+        // flies but at least 1400 m apart along the U.
+        let mk = |s: neat_rnet::SegmentId, tr: u64| {
+            FlowCluster::from_base(&net, BaseCluster::new(s, vec![frag2(tr, s)]).unwrap()).unwrap()
+        };
+        let flows = vec![mk(segs[0], 1), mk(segs[15], 2)];
+        // ε above every chord but below the network distance.
         let eps = 900.0;
-        // With every node a landmark the ALT bound is exact, so any pair
-        // with network distance > ε ≥ its chord must be alt-skipped.
-        // Pairwise searches (no per-seed tables) so the saving is visible
-        // directly in `sp_computations`.
-        let mut with_alt = cfg(eps, true);
-        with_alt.alt_landmarks = 16;
-        with_alt.endpoint_tables = false;
-        let mut no_alt = cfg(eps, true);
-        no_alt.alt_landmarks = 0;
-        no_alt.endpoint_tables = false;
-        let out_alt = refine_flow_clusters(&net, flows.clone(), &with_alt).unwrap();
-        let out_plain = refine_flow_clusters(&net, flows, &no_alt).unwrap();
+        let out_alt = refine_flow_clusters(&net, flows.clone(), &cfg(eps, true)).unwrap();
+        // No lower bound at all: the reference decisions.
+        let out_plain = refine_flow_clusters(&net, flows, &cfg(eps, false)).unwrap();
         assert_eq!(
             out_alt.clusters, out_plain.clusters,
             "ALT must not change output"
         );
+        assert_eq!(out_alt.clusters.len(), 2);
+        assert_eq!(out_alt.stats.elb_skips, 0, "stats: {:?}", out_alt.stats);
         assert!(out_alt.stats.alt_skips > 0, "stats: {:?}", out_alt.stats);
         assert!(
             out_alt.stats.sp_computations + out_alt.stats.one_to_many_scans
@@ -1088,16 +1061,18 @@ mod tests {
                 flow_on(&net, &[17, 18, 19], 5),
             ]
         };
-        let mut tab = cfg(450.0, true);
-        tab.endpoint_tables = true;
+        let tab = cfg(450.0, true);
+        // The Dijkstra strategy answers each pair with point-to-point
+        // searches.
         let mut pair = cfg(450.0, true);
-        pair.endpoint_tables = false;
+        pair.sp_strategy = SpStrategy::Dijkstra;
         let with_tables = refine_flow_clusters(&net, mk(), &tab).unwrap();
         let pairwise = refine_flow_clusters(&net, mk(), &pair).unwrap();
         assert_eq!(with_tables.clusters, pairwise.clusters);
         // Tables fully replace point-to-point searches…
         assert_eq!(with_tables.stats.sp_computations, 0);
         assert!(with_tables.stats.one_to_many_scans > 0);
+        assert!(pairwise.stats.sp_computations > 0);
         // …and the filter counters agree pair by pair.
         assert_eq!(
             with_tables.stats.pairs_considered,
@@ -1115,10 +1090,10 @@ mod tests {
                 .map(|i| flow_on(&net, &[3 * i, 3 * i + 1], i as u64 + 1))
                 .collect::<Vec<_>>()
         };
-        for endpoint_tables in [true, false] {
+        for sp_strategy in [SpStrategy::AStar, SpStrategy::Dijkstra] {
             let mut seq = cfg(350.0, true);
             seq.threads = 1;
-            seq.endpoint_tables = endpoint_tables;
+            seq.sp_strategy = sp_strategy;
             let base = refine_flow_clusters(&net, mk(), &seq).unwrap();
             for threads in [2, 8] {
                 let mut par = seq;

@@ -16,7 +16,9 @@
 //!   budget has already degraded the scan to ELB-only.
 //!
 //! The configurations cover endpoint tables with and without the bound
-//! filter, pairwise searches, full routes and the Dijkstra ablation.
+//! filter, full routes and the Dijkstra ablation. (A fifth, pairwise
+//! bounded searches on endpoints, went with the option that selected
+//! it: the default configuration always answers endpoints from tables.)
 
 use neat_core::phase3::{refine_flow_clusters, refine_flow_clusters_ctl};
 use neat_core::{BaseCluster, FlowCluster, NeatConfig, RouteDistance, SpStrategy};
@@ -74,7 +76,7 @@ fn flows(net: &RoadNetwork, n: u64) -> Vec<FlowCluster> {
 /// The recorded configurations and how many of the walks each refines.
 /// The unbounded Dijkstra ablation settles the whole network per search,
 /// so it gets fewer flows to keep the every-op sweeps short.
-fn configs() -> [(&'static str, u64, NeatConfig); 5] {
+fn configs() -> [(&'static str, u64, NeatConfig); 4] {
     let tables = NeatConfig {
         epsilon: 260.0,
         ..NeatConfig::default()
@@ -86,14 +88,6 @@ fn configs() -> [(&'static str, u64, NeatConfig); 5] {
             14,
             NeatConfig {
                 use_elb: false,
-                ..tables
-            },
-        ),
-        (
-            "pairwise",
-            14,
-            NeatConfig {
-                endpoint_tables: false,
                 ..tables
             },
         ),
@@ -162,7 +156,7 @@ fn budget(b: RunBudget, mode: OverrunMode) -> Control {
 /// settled×Partial, cancel, cancel-after-degrade).
 type Recorded = (&'static str, u64, u64, u64, [u64; 6]);
 
-const RECORDED: [Recorded; 5] = [
+const RECORDED: [Recorded; 4] = [
     (
         "endpoint-tables",
         0x4d49_5901_8b53_d66c,
@@ -189,20 +183,6 @@ const RECORDED: [Recorded; 5] = [
             0x75c6_d826_150b_9e4a,
             0xac11_31f0_3970_1077,
             0xdd02_f698_9202_88a9,
-        ],
-    ),
-    (
-        "pairwise",
-        0xb737_e25c_7a1e_4784,
-        576,
-        498,
-        [
-            0x1de0_5e60_6df3_e404,
-            0xe867_2c2f_ee58_6439,
-            0x8507_29db_7b4c_4593,
-            0x9c9f_53e0_c7b1_6c88,
-            0xf9e7_5aab_d7e2_902d,
-            0xe13b_c31c_fac8_6811,
         ],
     ),
     (

@@ -18,9 +18,10 @@
 //! * crash before the journal append — the journal has no record, the
 //!   spool file survives, and the batch is simply re-ingested;
 //! * crash after the append but before the spool removal — recovery
-//!   reconciles the spool against
-//!   [`CheckpointStore::journaled_batch_ids`] and *skips* the file
-//!   (counted as `duplicates_skipped`), so no batch is applied twice;
+//!   rebuilds the replay index as the union of
+//!   [`CheckpointStore::journaled_batch_index`] and the persisted
+//!   `applied.ids`, finds the file's ID there and *skips* it (counted as
+//!   `duplicates_skipped`), so no batch is applied twice;
 //! * a journal append that fails outright (the divergence window
 //!   documented on `IncrementalNeat::ingest_logged`) is repaired on the
 //!   spot with an emergency checkpoint (counted as `journal_repairs`).
@@ -1181,7 +1182,7 @@ mod tests {
     #[test]
     fn replay_index_survives_journal_pruning_across_restarts() {
         // Regression: checkpoint retention prunes the journal past the
-        // oldest retained snapshot, and `journaled_batch_ids` alone
+        // oldest retained snapshot, and `journaled_batch_index` alone
         // then forgets early batches — a duplicate send after restart
         // would re-apply them. The persisted applied-id index must keep
         // every ID alive forever.
