@@ -5,7 +5,8 @@
 //! non-contiguous samples via shortest-path recovery, so segments
 //! traversed *between* surviving samples still contribute t-fragments.
 //! This experiment drops a fraction of samples and measures how much
-//! segment coverage the repair preserves relative to naive splitting.
+//! segment coverage the repair preserves relative to naive splitting:
+//! a run covers a reference segment when it forms a base cluster there.
 
 use neat_bench::report::{secs, Report};
 use neat_bench::setup::network;
@@ -14,8 +15,9 @@ use neat_core::phase1::{form_base_clusters_parallel_with_policy, Phase1Output};
 use neat_core::ErrorPolicy;
 use neat_mobisim::generate_dataset;
 use neat_rnet::netgen::MapPreset;
-use neat_rnet::RoadNetwork;
+use neat_rnet::{RoadNetwork, SegmentId};
 use neat_traj::Dataset;
+use std::collections::BTreeSet;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -30,13 +32,17 @@ fn main() {
 
     // Ground-truth coverage from the dropout-free dataset.
     let full = generate_dataset(&net, &preset.sim_config(), seed + 1, "full");
-    let truth = phase1(&net, &full, true);
-    let truth_segments = truth.base_clusters.len();
+    let truth = segments(&phase1(&net, &full, true));
     report.line(format!(
         "dropout-free reference: {} trajectories covering {} segments",
         full.len(),
-        truth_segments
+        truth.len()
     ));
+    // Reference segments a run still covers, with their share.
+    let covered = |out: &Phase1Output| {
+        let hits = segments(out).intersection(&truth).count();
+        format!("{hits} ({:.1}%)", 100.0 * hits as f64 / truth.len() as f64)
+    };
 
     let mut rows = Vec::new();
     for dropout in [0.0, 0.3, 0.6, 0.8, 0.9] {
@@ -48,16 +54,8 @@ fn main() {
         rows.push(vec![
             format!("{:.0}%", dropout * 100.0),
             data.total_points().to_string(),
-            format!(
-                "{} ({:.1}%)",
-                with_repair.base_clusters.len(),
-                100.0 * with_repair.base_clusters.len() as f64 / truth_segments as f64
-            ),
-            format!(
-                "{} ({:.1}%)",
-                without.base_clusters.len(),
-                100.0 * without.base_clusters.len() as f64 / truth_segments as f64
-            ),
+            covered(&with_repair),
+            covered(&without),
             with_repair.fragment_count.to_string(),
             without.fragment_count.to_string(),
             secs(t_repair),
@@ -80,6 +78,11 @@ fn main() {
     report.line("expectation: repair holds coverage near 100% of the reference while naive splitting loses the segments traversed between surviving samples");
     let path = report.save().expect("write results");
     neat_bench::log::saved(&path);
+}
+
+/// The segments a Phase-1 run formed base clusters on.
+fn segments(out: &Phase1Output) -> BTreeSet<SegmentId> {
+    out.base_clusters.iter().map(|b| b.segment()).collect()
 }
 
 /// Phase 1 on one thread under the strict policy.

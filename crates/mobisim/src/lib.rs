@@ -61,7 +61,9 @@ pub struct SimConfig {
     /// Probability that any interior GPS sample is dropped (signal loss).
     /// The first and last samples of a trip always survive. Dropout
     /// produces the non-contiguous consecutive samples whose repair the
-    /// paper delegates to the map-matching approach of \[14\].
+    /// paper delegates to the map-matching approach of \[14\]. It draws
+    /// from its own seeded stream, so a thinned dataset holds the same
+    /// trips as the full one, minus interior samples.
     pub sample_dropout: f64,
     /// Trips per object. The paper's datasets use one trip per object;
     /// with more, each object chains trips (next origin = last
@@ -173,6 +175,7 @@ pub fn generate_dataset_labeled(
         "sample period must be positive"
     );
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut dropout_rng = ChaCha8Rng::seed_from_u64(seed ^ 0xD0_0D_5A_3E);
     let mut engine = ShortestPathEngine::new(net);
 
     // Draw hotspot centres and destinations (distinct junctions).
@@ -273,7 +276,7 @@ pub fn generate_dataset_labeled(
                         .filter(|(i, _)| {
                             *i == 0
                                 || *i == last
-                                || rng.gen_range(0.0..1.0) >= config.sample_dropout
+                                || dropout_rng.gen_range(0.0..1.0) >= config.sample_dropout
                         })
                         .map(|(_, p)| p)
                         .collect();
@@ -528,8 +531,13 @@ mod tests {
         let thin = generate_dataset(&net, &c, 3, "thin");
         assert_eq!(thin.len(), full.len());
         assert!(thin.total_points() < full.total_points());
-        for tr in thin.trajectories() {
-            assert!(tr.len() >= 2);
+        // Thinning only removes interior samples of the same trips.
+        for (t, f) in thin.trajectories().iter().zip(full.trajectories()) {
+            assert_eq!(t.id(), f.id());
+            assert!(t.len() >= 2);
+            assert_eq!(t.points().first(), f.points().first());
+            assert_eq!(t.points().last(), f.points().last());
+            assert!(t.points().iter().all(|p| f.points().contains(p)));
         }
     }
 

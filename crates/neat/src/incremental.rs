@@ -10,8 +10,9 @@
 //! [`IncrementalNeat::ingest`] call runs Phases 1–2 on the fresh batch
 //! only, appends the resulting flow clusters to the retained set and
 //! re-refines with the density-based Phase 3, once per change to the
-//! retained flows. The last `Complete` refinement is kept as the view
-//! that reads and drift diffs reuse; a degraded one is never kept.
+//! retained flows. The partition found by the last `Complete` refinement
+//! is kept as the view that reads and drift diffs reuse; a degraded one
+//! is never kept. Clusters are built from it only when they are returned.
 
 use crate::checkpoint::{self, CheckpointError, CheckpointStore, ResumeReport};
 use crate::config::NeatConfig;
@@ -19,7 +20,7 @@ use crate::control::{ladder, Completeness, Degradation, PhaseStatus};
 use crate::error::NeatError;
 use crate::model::{FlowCluster, TrajectoryCluster};
 use crate::phase1::ResilienceCounters;
-use crate::phase3::{refine_flow_clusters_ctl, ControlledRefinement, Phase3Stats};
+use crate::phase3::{clusters_of, refine_flow_clusters_ctl, ControlledRefinement, Phase3Stats};
 use crate::pipeline::{batch_phases, timed_phase, Mode};
 use crate::retention::{self, ExpiryOutcome};
 use neat_durability::fs::Fs;
@@ -89,9 +90,9 @@ pub struct IncrementalNeat<'a> {
     /// Logical-time retention watermark: every retained t-fragment has
     /// `last.time >= watermark`. `None` until the first expiry.
     watermark: Option<f64>,
-    /// Clusters of the last `Complete` refinement of `flows`, if the
-    /// flows have not changed since.
-    view: Option<Vec<TrajectoryCluster>>,
+    /// The partition of `flows` (indices per cluster) found by the last
+    /// `Complete` refinement, if the flows have not changed since.
+    view: Option<Vec<Vec<usize>>>,
 }
 
 impl<'a> IncrementalNeat<'a> {
@@ -235,14 +236,14 @@ impl<'a> IncrementalNeat<'a> {
         // Refinement reads the retained flows but never mutates them, so
         // a degraded or partial grouping here only affects this view.
         let (refined, _) = timed_phase(ctl, "phase3", || self.refresh_view(ctl))?;
-        self.last_stats = refined.output.stats;
+        self.last_stats = refined.stats;
         let (completeness, degradation, interrupt) = ladder(
             Mode::Opt,
             &[run.phase1, s2, refined.status],
             refined.elb_only,
         );
         Ok(IngestOutcome {
-            clusters: refined.output.clusters,
+            clusters: clusters_of(&refined.groups, &self.flows),
             applied: true,
             completeness,
             degradation,
@@ -270,24 +271,24 @@ impl<'a> IncrementalNeat<'a> {
     /// Propagates configuration errors from the refinement phase.
     pub fn current_clusters(&self) -> Result<Vec<TrajectoryCluster>, NeatError> {
         match &self.view {
-            Some(view) => Ok(view.clone()),
-            None => Ok(self.refine(None)?.output.clusters),
+            Some(view) => Ok(clusters_of(view, &self.flows)),
+            None => Ok(clusters_of(&self.refine(None)?.groups, &self.flows)),
         }
     }
 
-    /// The one Phase-3 call: refines a copy of the retained flows.
+    /// The one Phase-3 call: partitions the retained flows.
     fn refine(&self, ctl: Option<&Control>) -> Result<ControlledRefinement, NeatError> {
         #[cfg(test)]
         tests::REFINEMENTS.with(|n| n.set(n.get() + 1));
-        refine_flow_clusters_ctl(self.net, self.flows.clone(), &self.config, ctl)
+        refine_flow_clusters_ctl(self.net, &self.flows, &self.config, ctl)
     }
 
-    /// Refines the retained flows and stores the result as the view
+    /// Refines the retained flows and stores the partition as the view
     /// when it finished `Complete`; any other outcome clears the view.
     fn refresh_view(&mut self, ctl: Option<&Control>) -> Result<ControlledRefinement, NeatError> {
         let refined = self.refine(ctl);
         self.view = match &refined {
-            Ok(r) if r.status == PhaseStatus::Complete => Some(r.output.clusters.clone()),
+            Ok(r) if r.status == PhaseStatus::Complete => Some(r.groups.clone()),
             _ => None,
         };
         refined
@@ -337,17 +338,17 @@ impl<'a> IncrementalNeat<'a> {
                 clusters: self.current_clusters()?,
             });
         }
-        let before = match self.view.take() {
-            Some(view) => view,
-            None => self.refine(None)?.output.clusters,
-        };
+        // The pre-expiry side is built from the old flows, before
+        // `expire_flows` consumes them.
+        let before = self.current_clusters()?;
         let (kept, stats) = retention::expire_flows(std::mem::take(&mut self.flows), watermark);
         self.flows = kept;
         self.watermark = Some(watermark);
         self.batches += 1;
-        let after = self.refresh_view(None)?.output;
+        let after = self.refresh_view(None)?;
         self.last_stats = after.stats;
-        let events = retention::diff_drift(&before, &after.clusters);
+        let clusters = clusters_of(&after.groups, &self.flows);
+        let events = retention::diff_drift(&before, &clusters);
         Ok(ExpiryOutcome {
             watermark,
             advanced: true,
@@ -355,7 +356,7 @@ impl<'a> IncrementalNeat<'a> {
             expired_flows: stats.expired_flows,
             split_flows: stats.split_flows,
             events,
-            clusters: after.clusters,
+            clusters,
         })
     }
 

@@ -398,21 +398,38 @@ pub fn refine_flow_clusters(
     flows: Vec<FlowCluster>,
     config: &NeatConfig,
 ) -> Result<Phase3Output, NeatError> {
-    refine_flow_clusters_ctl(net, flows, config, None).map(|c| c.output)
+    let refined = refine_flow_clusters_ctl(net, &flows, config, None)?;
+    Ok(Phase3Output {
+        clusters: clusters_of(&refined.groups, &flows),
+        stats: refined.stats,
+    })
 }
 
-/// Result of a controlled Phase 3.
+/// Result of a controlled Phase 3: a partition of the input flows.
 #[derive(Debug, Clone)]
 pub struct ControlledRefinement {
-    /// The refinement output: always covers *every* input flow (flows
-    /// not reached before a stop become singleton clusters).
-    pub output: Phase3Output,
+    /// Flow indices per trajectory cluster, clusters in formation order
+    /// and each cluster's flows in discovery order. Covers *every* input
+    /// index exactly once: flows not reached before a stop become
+    /// singleton groups.
+    pub groups: Vec<Vec<usize>>,
+    /// Instrumentation counters.
+    pub stats: Phase3Stats,
     /// How the phase ended.
     pub status: PhaseStatus,
     /// `true` when the ELB-only continuation decided some suffix of the
     /// pair comparisons (degradation ladder rung between "exhaustive"
     /// and "skip refinement").
     pub elb_only: bool,
+}
+
+/// The trajectory clusters of a Phase-3 partition: group `g` becomes a
+/// cluster of copies of `flows[i]` for each `i` in `groups[g]`, in order.
+pub fn clusters_of(groups: &[Vec<usize>], flows: &[FlowCluster]) -> Vec<TrajectoryCluster> {
+    groups
+        .iter()
+        .map(|g| TrajectoryCluster::new(g.iter().map(|&i| flows[i].clone()).collect()))
+        .collect()
 }
 
 /// Switches the phase to the ELB-only continuation when `why` is a
@@ -552,8 +569,8 @@ fn scan(
 ///    polled from here on: the budget is knowingly spent.
 /// 3. **Stop** — on cancellation (any rung) or any interrupt under
 ///    [`OverrunMode::Partial`], refinement stops; flows not yet grouped
-///    are emitted as singleton clusters so the output stays a valid
-///    partition of the input.
+///    are emitted as singleton groups so the output stays a partition
+///    of the input.
 ///
 /// `ctl == None` is a free run: it never stops early. The phase runs on
 /// the calling thread whatever `config.threads` says.
@@ -564,7 +581,7 @@ fn scan(
 /// returned status, never as errors.
 pub fn refine_flow_clusters_ctl(
     net: &RoadNetwork,
-    flows: Vec<FlowCluster>,
+    flows: &[FlowCluster],
     config: &NeatConfig,
     ctl: Option<&Control>,
 ) -> Result<ControlledRefinement, NeatError> {
@@ -572,10 +589,8 @@ pub fn refine_flow_clusters_ctl(
     let n = flows.len();
     if n == 0 {
         return Ok(ControlledRefinement {
-            output: Phase3Output {
-                clusters: Vec::new(),
-                stats: Phase3Stats::default(),
-            },
+            groups: Vec::new(),
+            stats: Phase3Stats::default(),
             status: PhaseStatus::Complete,
             elb_only: false,
         });
@@ -618,7 +633,7 @@ pub fn refine_flow_clusters_ctl(
 
     let mut oracle = DistanceOracle {
         net,
-        flows: &flows,
+        flows,
         engine,
         strategy: config.sp_strategy,
         points: config.route_distance,
@@ -679,34 +694,16 @@ pub fn refine_flow_clusters_ctl(
             }
         }
     }
-    // The oracle borrows `flows`, which the clusters below consume.
-    drop(oracle);
-
-    // On a stop, flows never reached become singleton clusters (in
+    // On a stop, flows never reached become singleton groups (in
     // seeding order) so the output remains a partition of the input.
     let grouped: usize = groups.iter().map(Vec::len).sum();
     if stopped.is_some() {
         for &i in &order {
             if label[i].is_none() {
-                label[i] = Some(groups.len());
                 groups.push(vec![i]);
             }
         }
     }
-
-    // Materialise clusters, preserving in-group discovery order.
-    let mut flows_opt: Vec<Option<FlowCluster>> = flows.into_iter().map(Some).collect();
-    let clusters = groups
-        .into_iter()
-        .map(|members| {
-            TrajectoryCluster::new(
-                members
-                    .into_iter()
-                    .map(|i| flows_opt[i].take().expect("each flow used once")) // lint:allow(L1) reason=each flow index appears in exactly one cluster's member list
-                    .collect(),
-            )
-        })
-        .collect();
     let status = match (stopped, degraded) {
         (Some(why), _) => PhaseStatus::Partial {
             done: grouped,
@@ -717,7 +714,8 @@ pub fn refine_flow_clusters_ctl(
         (None, None) => PhaseStatus::Complete,
     };
     Ok(ControlledRefinement {
-        output: Phase3Output { clusters, stats },
+        groups,
+        stats,
         status,
         elb_only: degraded.is_some(),
     })

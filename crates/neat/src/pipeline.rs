@@ -12,7 +12,7 @@ use crate::error::NeatError;
 use crate::model::{BaseCluster, FlowCluster, TrajectoryCluster};
 use crate::phase1::{form_base_clusters_ctl, ResilienceCounters};
 use crate::phase2::form_flow_clusters_inner;
-use crate::phase3::{refine_flow_clusters_ctl, Phase3Stats};
+use crate::phase3::{clusters_of, refine_flow_clusters_ctl, Phase3Stats};
 use neat_rnet::RoadNetwork;
 use neat_runctl::{Control, Interrupt};
 use neat_traj::sanitize::ErrorPolicy;
@@ -233,12 +233,12 @@ impl<'a> Neat<'a> {
         };
         let mut result = run.result;
         let (refined, took) = timed_phase(ctl, "phase3", || {
-            refine_flow_clusters_ctl(self.net, result.flow_clusters.clone(), &self.config, ctl)
+            refine_flow_clusters_ctl(self.net, &result.flow_clusters, &self.config, ctl)
         })?;
         result.timings.phase3 = took;
         result.mode = Mode::Opt;
-        result.clusters = refined.output.clusters;
-        result.phase3_stats = refined.output.stats;
+        result.clusters = clusters_of(&refined.groups, &result.flow_clusters);
+        result.phase3_stats = refined.stats;
         let (completeness, degradation, interrupt) =
             ladder(mode, &[run.phase1, s2, refined.status], refined.elb_only);
         Ok(Outcome {

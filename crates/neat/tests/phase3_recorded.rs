@@ -20,7 +20,7 @@
 //! bounded searches on endpoints, went with the option that selected
 //! it: the default configuration always answers endpoints from tables.)
 
-use neat_core::phase3::{refine_flow_clusters, refine_flow_clusters_ctl};
+use neat_core::phase3::{clusters_of, refine_flow_clusters, refine_flow_clusters_ctl};
 use neat_core::{BaseCluster, FlowCluster, NeatConfig, RouteDistance, SpStrategy};
 use neat_rnet::netgen::{generate_grid_network, GridNetworkConfig};
 use neat_rnet::{NodeId, Point, RoadLocation, RoadNetwork, SegmentId};
@@ -121,15 +121,25 @@ fn fnv(h: u64, bytes: &[u8]) -> u64 {
 const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// One controlled refinement, rendered: clusters, status, `elb_only`,
-/// stats and the final control counters.
+/// stats and the final control counters. Every run, stopped or not,
+/// must partition the flows: each index in exactly one group.
 fn run(net: &RoadNetwork, n: u64, cfg: &NeatConfig, ctl: &Control) -> String {
-    let out = refine_flow_clusters_ctl(net, flows(net, n), cfg, Some(ctl)).unwrap();
+    let flows = flows(net, n);
+    let out = refine_flow_clusters_ctl(net, &flows, cfg, Some(ctl)).unwrap();
+    let mut covered: Vec<usize> = out.groups.concat();
+    covered.sort_unstable();
+    assert_eq!(
+        covered,
+        (0..flows.len()).collect::<Vec<_>>(),
+        "{:?}",
+        out.groups
+    );
     format!(
         "{:?}\n{:?}\n{}\n{:?}\n{}/{}\n",
-        out.output.clusters,
+        clusters_of(&out.groups, &flows),
         out.status,
         out.elb_only,
-        out.output.stats,
+        out.stats,
         ctl.ops(),
         ctl.settled()
     )
