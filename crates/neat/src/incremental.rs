@@ -20,7 +20,9 @@ use crate::control::{ladder, Completeness, Degradation, PhaseStatus};
 use crate::error::NeatError;
 use crate::model::{FlowCluster, TrajectoryCluster};
 use crate::phase1::ResilienceCounters;
-use crate::phase3::{clusters_of, refine_flow_clusters_ctl, ControlledRefinement, Phase3Stats};
+use crate::phase3::{
+    clusters_of, refine_flow_clusters_ctl, ControlledRefinement, Landmarks, Phase3Stats,
+};
 use crate::pipeline::{batch_phases, timed_phase, Mode};
 use crate::retention::{self, ExpiryOutcome};
 use neat_durability::fs::Fs;
@@ -93,6 +95,9 @@ pub struct IncrementalNeat<'a> {
     /// The partition of `flows` (indices per cluster) found by the last
     /// `Complete` refinement, if the flows have not changed since.
     view: Option<Vec<Vec<usize>>>,
+    /// Phase 3's ALT landmarks: cold at `new` and `resume`, never
+    /// persisted, and charged alike warm or cold.
+    landmarks: Landmarks<'a>,
 }
 
 impl<'a> IncrementalNeat<'a> {
@@ -107,6 +112,7 @@ impl<'a> IncrementalNeat<'a> {
             resilience: ResilienceCounters::default(),
             watermark: None,
             view: None,
+            landmarks: Landmarks::new(net),
         }
     }
 
@@ -280,7 +286,7 @@ impl<'a> IncrementalNeat<'a> {
     fn refine(&self, ctl: Option<&Control>) -> Result<ControlledRefinement, NeatError> {
         #[cfg(test)]
         tests::REFINEMENTS.with(|n| n.set(n.get() + 1));
-        refine_flow_clusters_ctl(self.net, &self.flows, &self.config, ctl)
+        refine_flow_clusters_ctl(self.net, &self.flows, &self.config, &self.landmarks, ctl)
     }
 
     /// Refines the retained flows and stores the partition as the view
@@ -522,6 +528,7 @@ impl<'a> IncrementalNeat<'a> {
                     resilience: state.resilience,
                     watermark: state.watermark,
                     view: None,
+                    landmarks: Landmarks::new(net),
                 }
             }
             None => IncrementalNeat::new(net, config),
@@ -820,6 +827,53 @@ mod tests {
             IncrementalNeat::resume(&net, cfg(), &store).unwrap_err(),
             CheckpointError::NoCheckpoint { .. }
         ));
+    }
+
+    #[test]
+    fn resumed_cold_session_charges_like_the_warm_live_one() {
+        use neat_durability::MemFs;
+        use neat_runctl::{CancelToken, RunBudget};
+
+        let net = chain_network(12, 100.0, 10.0);
+        let store = CheckpointStore::open(MemFs::new(), "/ckpt").unwrap();
+        let mut live = IncrementalNeat::new(&net, cfg());
+        let mut b1 = Dataset::new("b1");
+        b1.extend(traverse(0, 3, &[0, 1]));
+        let mut b2 = Dataset::new("b2");
+        b2.extend(traverse(100, 3, &[7, 8]));
+        live.ingest(&b1).unwrap();
+        live.ingest(&b2).unwrap();
+        live.save_checkpoint(&store).unwrap();
+        let (resumed, report) = IncrementalNeat::resume(&net, cfg(), &store).unwrap();
+        assert_eq!(report.replayed_batches, 0);
+        assert!(live.landmarks.settled().is_some(), "live session is warm");
+        assert_eq!(resumed.landmarks.settled(), None, "resume starts cold");
+
+        let mut next = Dataset::new("b3");
+        next.extend(traverse(200, 3, &[4, 5]));
+        let free = Control::unlimited();
+        live.clone()
+            .ingest_controlled(&next, ErrorPolicy::Strict, &free)
+            .unwrap();
+        for max_ops in 0..=free.ops() + 1 {
+            let ingest = |session: &IncrementalNeat| {
+                let mut session = session.clone();
+                let ctl = Control::new(
+                    RunBudget::unlimited().with_max_ops(max_ops),
+                    CancelToken::new(),
+                );
+                let outcome = session
+                    .ingest_controlled(&next, ErrorPolicy::Strict, &ctl)
+                    .unwrap();
+                format!(
+                    "{outcome:?} {:?} {}/{}",
+                    session.last_refinement_stats(),
+                    ctl.ops(),
+                    ctl.settled()
+                )
+            };
+            assert_eq!(ingest(&live), ingest(&resumed), "max_ops {max_ops}");
+        }
     }
 
     #[test]

@@ -17,10 +17,14 @@
 //! On top of the paper's design this implementation layers two
 //! output-preserving optimisations:
 //!
-//! * **ALT landmark bounds** ([`AltLandmarks`]): whenever the ELB filter
-//!   runs, a fixed four landmarks tighten it to `max(euclidean, alt)`,
-//!   which is still a lower bound on the network distance, so it only
-//!   ever skips *more* pairs — never different ones.
+//! * **ALT landmark bounds** ([`AltLandmarks`]): four landmarks tighten
+//!   the ELB filter to `max(euclidean, alt)`, which is still a lower
+//!   bound on the network distance, so it only ever skips *more* pairs —
+//!   never different ones. The landmark tables depend only on the
+//!   network, so they live in a session memo ([`Landmarks`]) built at
+//!   most once. Only networks whose build is small use the bound (see
+//!   [`refine_flow_clusters_ctl`]). A warm memo charges the ops of a
+//!   build, so warm and cold sessions stop at the same op.
 //! * **Endpoint one-to-many tables**: in every
 //!   [`RouteDistance::Endpoints`] + [`SpStrategy::AStar`] configuration
 //!   (the default), each neighbourhood scan runs one bounded one-to-many
@@ -43,9 +47,11 @@ use crate::model::{FlowCluster, TrajectoryCluster};
 use neat_rnet::alt::AltLandmarks;
 use neat_rnet::path::{NodeDistances, TravelMode};
 use neat_rnet::{NodeId, RoadNetwork, ShortestPathEngine};
-use neat_runctl::{Control, Interrupt, OverrunMode};
+use neat_runctl::{Charge, Control, Interrupt, OverrunMode};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
+use std::fmt;
+use std::sync::OnceLock;
 
 /// Instrumentation counters for the Figure-7 ablation (ELB vs Dijkstra).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -109,9 +115,10 @@ fn point_sets(
 }
 
 /// Network-distance oracle of one refinement: the flow list, a
-/// symmetric node-pair memo, optional ALT landmark tables and optional
-/// per-endpoint one-to-many tables. Everything is owned by the calling
-/// thread; the memos are only ever looked up by key, never iterated.
+/// symmetric node-pair memo, the session's ALT landmarks when in use
+/// and optional per-endpoint one-to-many tables. Everything is used
+/// by the calling thread only; the memos are only ever looked up by
+/// key, never iterated.
 struct DistanceOracle<'a> {
     net: &'a RoadNetwork,
     flows: &'a [FlowCluster],
@@ -128,8 +135,8 @@ struct DistanceOracle<'a> {
     /// `NodeId → bounded one-to-many table`, reused across scans that
     /// share an endpoint.
     tables: HashMap<NodeId, NodeDistances>,
-    /// Landmark tables for the ALT lower bound (`None` when disabled).
-    alt: Option<AltLandmarks>,
+    /// Landmark tables for the ALT lower bound (`None` when off).
+    alt: Option<&'a AltLandmarks>,
 }
 
 /// The one-to-many tables of one scanned flow's two endpoints.
@@ -246,7 +253,7 @@ impl<'a> DistanceOracle<'a> {
             for &b in &ys {
                 let e = self.net.euclidean_distance(a, b);
                 min_e = min_e.min(e);
-                let c = match &self.alt {
+                let c = match self.alt {
                     Some(alt) => e.max(alt.lower_bound(a, b)),
                     None => e,
                 };
@@ -277,7 +284,7 @@ impl<'a> DistanceOracle<'a> {
             let (b1, b2) = f.endpoints();
             for b in [b1, b2] {
                 let e = self.net.euclidean_distance(src, b);
-                let lb = match &self.alt {
+                let lb = match self.alt {
                     Some(alt) => e.max(alt.lower_bound(src, b)),
                     None => e,
                 };
@@ -398,7 +405,7 @@ pub fn refine_flow_clusters(
     flows: Vec<FlowCluster>,
     config: &NeatConfig,
 ) -> Result<Phase3Output, NeatError> {
-    let refined = refine_flow_clusters_ctl(net, &flows, config, None)?;
+    let refined = refine_flow_clusters_ctl(net, &flows, config, &Landmarks::new(net), None)?;
     Ok(Phase3Output {
         clusters: clusters_of(&refined.groups, &flows),
         stats: refined.stats,
@@ -454,10 +461,86 @@ fn degrade(
     }
 }
 
-/// ALT landmarks built per refinement when the ELB filter is on. Each
-/// costs one full Dijkstra inside phase 3; on Table-I-sized networks a
-/// handful already captures most of the skips (DESIGN §12).
+/// The session's ALT landmark set for one road network: four
+/// full-network Dijkstra tables, which depend only on the network, so
+/// they are built at most once per session. [`Neat`](crate::Neat) and
+/// [`IncrementalNeat`](crate::IncrementalNeat) each own one and pass it
+/// to every refinement; it starts cold, is never persisted, and fills
+/// the first time a refinement uses the ALT bound. A refinement given a
+/// memo of another network is rejected.
+///
+/// A warm memo charges exactly what its build charged: `S` ops, each a
+/// settlement, through [`Control::try_charge`]. When that asks for a
+/// replay (some limit or deadline consultation falls inside), it makes
+/// the same `S` [`Control::check_settled`] polls without computing
+/// anything. Budgets, fuses and deadlines therefore fire at the same op
+/// whether the memo is warm or cold.
+#[derive(Clone)]
+pub struct Landmarks<'n> {
+    /// The network the landmarks belong to.
+    net: &'n RoadNetwork,
+    /// The landmark tables and the settle count their build charged.
+    built: OnceLock<(AltLandmarks, u64)>,
+}
+
+impl<'n> Landmarks<'n> {
+    /// A cold memo for `net`.
+    pub fn new(net: &'n RoadNetwork) -> Self {
+        Landmarks {
+            net,
+            built: OnceLock::new(),
+        }
+    }
+
+    /// The settle count the build charged, once built.
+    pub fn settled(&self) -> Option<u64> {
+        self.built.get().map(|&(_, settled)| settled)
+    }
+
+    /// The landmark tables, charged to `ctl` as a build: built on a cold
+    /// memo, replayed on a warm one.
+    fn acquire(
+        &self,
+        engine: &mut ShortestPathEngine,
+        ctl: Option<&Control>,
+    ) -> Result<&AltLandmarks, Interrupt> {
+        if let Some((alt, settled)) = self.built.get() {
+            if let Some(c) = ctl {
+                if c.try_charge(*settled, *settled) == Charge::Replay {
+                    for _ in 0..*settled {
+                        c.check_settled()?;
+                    }
+                }
+            }
+            return Ok(alt);
+        }
+        let alt =
+            AltLandmarks::build(self.net, engine, ALT_LANDMARKS, TravelMode::Undirected, ctl)?;
+        let settled = alt.settled();
+        Ok(&self.built.get_or_init(|| (alt, settled)).0)
+    }
+}
+
+impl fmt::Debug for Landmarks<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.settled() {
+            Some(settled) => write!(f, "Landmarks(built, {settled} settled)"),
+            None => f.write_str("Landmarks(cold)"),
+        }
+    }
+}
+
+/// Landmarks per network when the ELB filter is on. Each costs one full
+/// Dijkstra; on Table-I-sized networks a handful already captures most
+/// of the skips (DESIGN §12).
 const ALT_LANDMARKS: usize = 4;
+
+/// The largest landmark build (`ALT_LANDMARKS · |V|` settlements) phase
+/// 3 makes; on larger networks the ALT bound stays off. San Jose's build
+/// (43.7 k) pays for itself in skips, Miami's (413 k, ~70 ms) skips no
+/// pair while its endpoint tables settle far less; 2^17 sits ~3× from
+/// each.
+const ALT_MAX_BUILD_SETTLES: usize = 1 << 17;
 
 /// Degradation note recorded when exact distances are abandoned.
 const DEGRADE_NOTE: &str = "phase3: exact network distances -> ELB-only";
@@ -575,17 +658,31 @@ fn scan(
 /// `ctl == None` is a free run: it never stops early. The phase runs on
 /// the calling thread whatever `config.threads` says.
 ///
+/// With the ELB filter on and two or more flows, the ALT bound is used
+/// when the landmark build is small (`ALT_LANDMARKS · |V| ≤ 2^17`
+/// settlements). The landmarks come from `landmarks`, the session memo,
+/// before the first scan, and cost the same ops whether it is warm or
+/// cold.
+///
 /// # Errors
 ///
 /// Same as [`refine_flow_clusters`] — interrupts are reported in the
-/// returned status, never as errors.
+/// returned status, never as errors — plus
+/// [`NeatError::InvalidConfig`] when `landmarks` belongs to another
+/// network than `net`.
 pub fn refine_flow_clusters_ctl(
     net: &RoadNetwork,
     flows: &[FlowCluster],
     config: &NeatConfig,
+    landmarks: &Landmarks<'_>,
     ctl: Option<&Control>,
 ) -> Result<ControlledRefinement, NeatError> {
     config.validate()?;
+    if !std::ptr::eq(net, landmarks.net) {
+        return Err(NeatError::InvalidConfig(
+            "ALT landmark memo belongs to another road network".into(),
+        ));
+    }
     let n = flows.len();
     if n == 0 {
         return Ok(ControlledRefinement {
@@ -614,22 +711,24 @@ pub fn refine_flow_clusters_ctl(
     // Some(why) once refinement stopped outright.
     let mut stopped: Option<Interrupt> = None;
 
-    // ALT landmark preprocessing: exactly `ALT_LANDMARKS` full Dijkstra
-    // expansions, charged to `ctl` like the query-time searches whose
-    // skips pay for them. Only worthwhile when the ELB filter runs.
-    let alt = if config.use_elb && n >= 2 {
-        match AltLandmarks::build(net, &mut engine, ALT_LANDMARKS, TravelMode::Undirected, ctl) {
-            Ok(a) => Some(a),
-            Err(why) => {
-                if let Err(why) = degrade(why, ctl, &mut degraded) {
-                    stopped = Some(why);
+    // ALT landmarks: `ALT_LANDMARKS` full Dijkstra expansions, built once
+    // per session and charged to `ctl` on every refinement like the
+    // query-time searches whose skips pay for them. Only worthwhile when
+    // the ELB filter runs and the build is small.
+    let alt =
+        if config.use_elb && n >= 2 && ALT_LANDMARKS * net.node_count() <= ALT_MAX_BUILD_SETTLES {
+            match landmarks.acquire(&mut engine, ctl) {
+                Ok(a) => Some(a),
+                Err(why) => {
+                    if let Err(why) = degrade(why, ctl, &mut degraded) {
+                        stopped = Some(why);
+                    }
+                    None
                 }
-                None
             }
-        }
-    } else {
-        None
-    };
+        } else {
+            None
+        };
 
     let mut oracle = DistanceOracle {
         net,
@@ -726,9 +825,12 @@ mod tests {
     use super::*;
     use crate::config::RouteDistance;
     use crate::model::BaseCluster;
-    use neat_rnet::netgen::chain_network;
+    use neat_rnet::netgen::{chain_network, generate_grid_network, GridNetworkConfig};
     use neat_rnet::{Point, RoadLocation, SegmentId};
+    use neat_runctl::{CancelToken, RunBudget};
     use neat_traj::{TFragment, TrajectoryId};
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     fn frag(tr: u64, seg: usize) -> TFragment {
         let loc = RoadLocation::new(SegmentId::new(seg), Point::new(0.0, 0.0), 0.0);
@@ -1100,6 +1202,113 @@ mod tests {
                 assert_eq!(out.clusters, base.clusters, "threads={threads}");
                 assert_eq!(out.stats, base.stats, "threads={threads}");
             }
+        }
+    }
+
+    /// `n` seeded random walks of 1–4 segments, one trajectory per flow.
+    fn walks(net: &RoadNetwork, n: u64) -> Vec<FlowCluster> {
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let base = |seg, tr| BaseCluster::new(seg, vec![frag2(tr, seg)]).unwrap();
+        (0..n)
+            .map(|tr| {
+                let mut seg = SegmentId::new(rng.gen_range(0..net.segment_count()));
+                let mut f = FlowCluster::from_base(net, base(seg, tr)).unwrap();
+                for _ in 0..rng.gen_range(0..4usize) {
+                    let next: Vec<SegmentId> = net
+                        .incident_segments(f.back_endpoint())
+                        .iter()
+                        .copied()
+                        .filter(|&s| s != seg)
+                        .collect();
+                    if next.is_empty() {
+                        break;
+                    }
+                    seg = next[rng.gen_range(0..next.len())];
+                    f.push_back(net, base(seg, tr)).unwrap();
+                }
+                f
+            })
+            .collect()
+    }
+
+    /// One refinement under `ctl`, rendered with the control's final
+    /// counters. Every run must partition the flows.
+    fn render(net: &RoadNetwork, flows: &[FlowCluster], memo: &Landmarks, ctl: &Control) -> String {
+        let out = refine_flow_clusters_ctl(net, flows, &cfg(260.0, true), memo, Some(ctl)).unwrap();
+        let mut covered = out.groups.concat();
+        covered.sort_unstable();
+        assert_eq!(covered, (0..flows.len()).collect::<Vec<_>>());
+        format!(
+            "{:?} {:?} {} {:?} {}/{}",
+            out.groups,
+            out.status,
+            out.elb_only,
+            out.stats,
+            ctl.ops(),
+            ctl.settled()
+        )
+    }
+
+    #[test]
+    fn warm_landmarks_charge_like_a_build_under_every_budget() {
+        let net = generate_grid_network(&GridNetworkConfig::small_test(6, 6), 11);
+        let flows = walks(&net, 14);
+        let memo = Landmarks::new(&net);
+        let free = Control::unlimited();
+        let cold = render(&net, &flows, &memo, &free);
+        assert_eq!(
+            memo.settled(),
+            Some((ALT_LANDMARKS * net.node_count()) as u64)
+        );
+        assert_eq!(render(&net, &flows, &memo, &Control::unlimited()), cold);
+
+        for mode in [OverrunMode::Degrade, OverrunMode::Partial] {
+            let budgets = (0..=free.ops() + 1)
+                .map(|n| RunBudget::unlimited().with_max_ops(n))
+                .chain(
+                    (0..=free.settled() + 1)
+                        .map(|n| RunBudget::unlimited().with_max_settled_nodes(n)),
+                );
+            for b in budgets {
+                let ctl = || Control::new(b, CancelToken::new()).with_overrun(mode);
+                assert_eq!(
+                    render(&net, &flows, &Landmarks::new(&net), &ctl()),
+                    render(&net, &flows, &memo, &ctl()),
+                    "{mode:?}, {b:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn landmarks_are_built_only_on_networks_up_to_the_size_rule() {
+        // A chain of 2^15 junctions is the largest whose four-landmark
+        // build fits the rule.
+        let largest = ALT_MAX_BUILD_SETTLES / ALT_LANDMARKS;
+        for (nodes, built) in [(largest, true), (largest + 1, false)] {
+            let net = chain_network(nodes, 100.0, 10.0);
+            let flows = vec![flow_on(&net, &[0, 1], 1), flow_on(&net, &[3, 4], 2)];
+            let memo = Landmarks::new(&net);
+            let out =
+                refine_flow_clusters_ctl(&net, &flows, &cfg(450.0, true), &memo, None).unwrap();
+            assert_eq!(out.groups, vec![vec![0, 1]], "{nodes} junctions");
+            assert_eq!(memo.settled().is_some(), built, "{nodes} junctions");
+        }
+    }
+
+    #[test]
+    fn a_memo_of_another_network_is_rejected() {
+        let small = chain_network(8, 100.0, 10.0);
+        let large = chain_network(24, 100.0, 10.0);
+        let flows = vec![flow_on(&small, &[0, 1], 1), flow_on(&small, &[3, 4], 2)];
+        let memo = Landmarks::new(&large);
+        refine_flow_clusters_ctl(&large, &flows, &cfg(450.0, true), &memo, None).unwrap();
+        assert!(memo.settled().is_some());
+        // A warm memo of a larger network would index past the smaller
+        // one; an equal copy is still another network.
+        for net in [&small, &large.clone()] {
+            let err = refine_flow_clusters_ctl(net, &flows, &cfg(450.0, true), &memo, None);
+            assert!(matches!(err, Err(NeatError::InvalidConfig(_))), "{err:?}");
         }
     }
 }

@@ -12,7 +12,7 @@ use crate::error::NeatError;
 use crate::model::{BaseCluster, FlowCluster, TrajectoryCluster};
 use crate::phase1::{form_base_clusters_ctl, ResilienceCounters};
 use crate::phase2::form_flow_clusters_inner;
-use crate::phase3::{clusters_of, refine_flow_clusters_ctl, Phase3Stats};
+use crate::phase3::{clusters_of, refine_flow_clusters_ctl, Landmarks, Phase3Stats};
 use neat_rnet::RoadNetwork;
 use neat_runctl::{Control, Interrupt};
 use neat_traj::sanitize::ErrorPolicy;
@@ -152,12 +152,18 @@ impl NeatResult {
 pub struct Neat<'a> {
     net: &'a RoadNetwork,
     config: NeatConfig,
+    /// Phase 3's ALT landmarks, shared by every run of this pipeline.
+    landmarks: Landmarks<'a>,
 }
 
 impl<'a> Neat<'a> {
     /// Creates a pipeline over `net` with the given configuration.
     pub fn new(net: &'a RoadNetwork, config: NeatConfig) -> Self {
-        Neat { net, config }
+        Neat {
+            net,
+            config,
+            landmarks: Landmarks::new(net),
+        }
     }
 
     /// The active configuration.
@@ -233,7 +239,13 @@ impl<'a> Neat<'a> {
         };
         let mut result = run.result;
         let (refined, took) = timed_phase(ctl, "phase3", || {
-            refine_flow_clusters_ctl(self.net, &result.flow_clusters, &self.config, ctl)
+            refine_flow_clusters_ctl(
+                self.net,
+                &result.flow_clusters,
+                &self.config,
+                &self.landmarks,
+                ctl,
+            )
         })?;
         result.timings.phase3 = took;
         result.mode = Mode::Opt;

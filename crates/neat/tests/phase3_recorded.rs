@@ -19,15 +19,20 @@
 //! filter, full routes and the Dijkstra ablation. (A fifth, pairwise
 //! bounded searches on endpoints, went with the option that selected
 //! it: the default configuration always answers endpoints from tables.)
+//!
+//! Every sweep runs twice: each refinement with a cold landmark memo,
+//! and each with one memo warmed by an earlier free run. A warm memo
+//! charges what a build would, so both passes match the same digests.
 
-use neat_core::phase3::{clusters_of, refine_flow_clusters, refine_flow_clusters_ctl};
+use neat_core::phase3::{clusters_of, refine_flow_clusters, refine_flow_clusters_ctl, Landmarks};
 use neat_core::{BaseCluster, FlowCluster, NeatConfig, RouteDistance, SpStrategy};
 use neat_rnet::netgen::{generate_grid_network, GridNetworkConfig};
 use neat_rnet::{NodeId, Point, RoadLocation, RoadNetwork, SegmentId};
-use neat_runctl::{CancelToken, Control, OverrunMode, RunBudget};
+use neat_runctl::{CancelToken, Control, OpClock, OverrunMode, RunBudget, DEADLINE_STRIDE};
 use neat_traj::{TFragment, TrajectoryId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::sync::Arc;
 
 fn net() -> RoadNetwork {
     generate_grid_network(&GridNetworkConfig::small_test(6, 6), 11)
@@ -122,10 +127,19 @@ const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// One controlled refinement, rendered: clusters, status, `elb_only`,
 /// stats and the final control counters. Every run, stopped or not,
-/// must partition the flows: each index in exactly one group.
-fn run(net: &RoadNetwork, n: u64, cfg: &NeatConfig, ctl: &Control) -> String {
+/// must partition the flows: each index in exactly one group. `warm`
+/// is the landmark memo to use; `None` runs with a cold one.
+fn run(
+    net: &RoadNetwork,
+    n: u64,
+    cfg: &NeatConfig,
+    warm: Option<&Landmarks>,
+    ctl: &Control,
+) -> String {
     let flows = flows(net, n);
-    let out = refine_flow_clusters_ctl(net, &flows, cfg, Some(ctl)).unwrap();
+    let cold = Landmarks::new(net);
+    let landmarks = warm.unwrap_or(&cold);
+    let out = refine_flow_clusters_ctl(net, &flows, cfg, landmarks, Some(ctl)).unwrap();
     let mut covered: Vec<usize> = out.groups.concat();
     covered.sort_unstable();
     assert_eq!(
@@ -148,13 +162,21 @@ fn run(net: &RoadNetwork, n: u64, cfg: &NeatConfig, ctl: &Control) -> String {
 /// Folds the runs of one sweep into a digest.
 fn sweep(
     net: &RoadNetwork,
-    (n, cfg): (u64, &NeatConfig),
+    (n, cfg, warm): (u64, &NeatConfig, Option<&Landmarks>),
     limits: std::ops::RangeInclusive<u64>,
     make: impl Fn(u64) -> Control,
 ) -> u64 {
     limits.fold(FNV_BASIS, |digest, limit| {
-        fnv(digest, run(net, n, cfg, &make(limit)).as_bytes())
+        fnv(digest, run(net, n, cfg, warm, &make(limit)).as_bytes())
     })
+}
+
+/// A memo warmed by a free refinement of the `n` walks.
+fn warmed<'n>(net: &'n RoadNetwork, n: u64, cfg: &NeatConfig) -> Landmarks<'n> {
+    let warm = Landmarks::new(net);
+    refine_flow_clusters_ctl(net, &flows(net, n), cfg, &warm, None).unwrap();
+    assert_eq!(warm.settled().is_some(), cfg.use_elb);
+    warm
 }
 
 fn budget(b: RunBudget, mode: OverrunMode) -> Control {
@@ -225,15 +247,16 @@ const RECORDED: [Recorded; 4] = [
     ),
 ];
 
-#[test]
-fn phase3_matches_the_recorded_scan() {
-    let net = net();
+/// Every recorded sweep of every configuration, each refinement with a
+/// cold memo or, when `warm`, with one memo warmed by a free run.
+fn recorded_sweeps(net: &RoadNetwork, warm: bool) -> Vec<String> {
     let mut got: Vec<Recorded> = Vec::new();
     for ((name, n, cfg), recorded) in configs().into_iter().zip(RECORDED) {
         assert_eq!(name, recorded.0);
-        let case = (n, &cfg);
+        let memo = warm.then(|| warmed(net, n, &cfg));
+        let case = (n, &cfg, memo.as_ref());
         // Free runs: uncontrolled and under an unlimited control.
-        let free = refine_flow_clusters(&net, flows(&net, n), &cfg).unwrap();
+        let free = refine_flow_clusters(net, flows(net, n), &cfg).unwrap();
         // The fixture merges some flows and keeps others apart, and the
         // bound filter skips pairs by both bounds where it runs.
         let k = free.clusters.len() as u64;
@@ -245,7 +268,7 @@ fn phase3_matches_the_recorded_scan() {
             );
         }
         let ctl = Control::unlimited();
-        let unlimited = run(&net, n, &cfg, &ctl);
+        let unlimited = run(net, n, &cfg, memo.as_ref(), &ctl);
         let (ops, settled) = (ctl.ops(), ctl.settled());
         let free_fp = fnv(
             fnv(FNV_BASIS, format!("{free:?}\n").as_bytes()),
@@ -257,20 +280,20 @@ fn phase3_matches_the_recorded_scan() {
             .into_iter()
             .enumerate()
         {
-            digests[slot] = sweep(&net, case, 0..=ops + 1, |n| {
+            digests[slot] = sweep(net, case, 0..=ops + 1, |n| {
                 budget(RunBudget::unlimited().with_max_ops(n), mode)
             });
-            digests[2 + slot] = sweep(&net, case, 0..=settled + 1, |n| {
+            digests[2 + slot] = sweep(net, case, 0..=settled + 1, |n| {
                 budget(RunBudget::unlimited().with_max_settled_nodes(n), mode)
             });
         }
-        digests[4] = sweep(&net, case, 0..=ops + 1, |n| {
+        digests[4] = sweep(net, case, 0..=ops + 1, |n| {
             Control::new(RunBudget::unlimited(), CancelToken::armed_after(n))
         });
         // A budget that degrades a third of the way in, then a fuse at
         // every later poll: cancellation of the ELB-only continuation.
         let third = ops / 3;
-        digests[5] = sweep(&net, case, third..=ops + 1, |n| {
+        digests[5] = sweep(net, case, third..=ops + 1, |n| {
             Control::new(
                 RunBudget::unlimited().with_max_ops(third),
                 CancelToken::armed_after(n),
@@ -279,7 +302,44 @@ fn phase3_matches_the_recorded_scan() {
         });
         got.push((name, free_fp, ops, settled, digests));
     }
-    let got: Vec<String> = got.iter().map(|r| format!("{r:#x?}")).collect();
+    got.iter().map(|r| format!("{r:#x?}")).collect()
+}
+
+#[test]
+fn phase3_matches_the_recorded_scan() {
+    let net = net();
     let want: Vec<String> = RECORDED.iter().map(|r| format!("{r:#x?}")).collect();
-    assert_eq!(got, want);
+    assert_eq!(recorded_sweeps(&net, false), want, "cold landmark memos");
+    assert_eq!(recorded_sweeps(&net, true), want, "warm landmark memo");
+}
+
+/// A deadline one [`OpClock`] tick away, after `pre` checks spent before
+/// the refinement: the deadline fires at the refinement's
+/// `DEADLINE_STRIDE - pre`-th op, the first clock consultation.
+fn deadline_after(pre: u64, mode: OverrunMode) -> (Control, Arc<OpClock>) {
+    let clock = Arc::new(OpClock::new(1));
+    let ctl = budget(RunBudget::unlimited().with_deadline_ms(1), mode).with_clock(clock.clone());
+    for _ in 0..pre {
+        ctl.check().unwrap();
+    }
+    (ctl, clock)
+}
+
+#[test]
+fn warm_and_cold_memos_meet_every_deadline_alike() {
+    let net = net();
+    for (name, n, cfg) in configs() {
+        let warm = warmed(&net, n, &cfg);
+        for mode in [OverrunMode::Degrade, OverrunMode::Partial] {
+            for pre in 0..DEADLINE_STRIDE {
+                let (cold_ctl, cold_clock) = deadline_after(pre, mode);
+                let cold = run(&net, n, &cfg, None, &cold_ctl);
+                let (warm_ctl, warm_clock) = deadline_after(pre, mode);
+                let hot = run(&net, n, &cfg, Some(&warm), &warm_ctl);
+                assert_eq!(cold, hot, "{name} {mode:?}: deadline after {pre} ops");
+                assert_eq!(cold_clock.observations(), warm_clock.observations());
+                assert!(cold_ctl.is_interrupted(), "{name}: {cold}");
+            }
+        }
+    }
 }

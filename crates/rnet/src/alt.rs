@@ -109,6 +109,13 @@ impl AltLandmarks {
         self.landmarks.is_empty()
     }
 
+    /// Nodes the preprocessing expansions settled: every node each
+    /// landmark reaches, once per landmark. A build under a control made
+    /// exactly this many [`Control::check_settled`] calls.
+    pub fn settled(&self) -> u64 {
+        self.dist.iter().flatten().filter(|d| d.is_finite()).count() as u64
+    }
+
     /// A lower bound on the network distance `d(a, b)`, from the
     /// triangle inequality over every landmark. Never negative; `0.0`
     /// when no landmark reaches both nodes. Exact distances are never
@@ -193,6 +200,23 @@ mod tests {
                 assert!((alt.lower_bound(l0, nb) - d).abs() < 1e-9);
             }
         }
+    }
+
+    #[test]
+    fn settled_counts_the_checks_of_a_controlled_build() {
+        let net = grid(5, 6, 3);
+        let ctl = Control::unlimited();
+        let alt = AltLandmarks::build(
+            &net,
+            &mut ShortestPathEngine::new(&net),
+            4,
+            TravelMode::Undirected,
+            Some(&ctl),
+        )
+        .unwrap();
+        assert_eq!(alt.settled(), ctl.settled());
+        assert_eq!(alt.settled(), ctl.ops());
+        assert!(alt.settled() > 0);
     }
 
     #[test]
